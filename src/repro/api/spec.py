@@ -225,8 +225,8 @@ class ExecutionSection:
     #: Executor backend the sharded paths dispatch through (a
     #: :data:`repro.engine.executors.EXECUTOR_BACKENDS` name):
     #: ``process_pool`` (the production fork pool + shm transport),
-    #: ``thread``, ``file_queue`` (spooled-file job queue — the external
-    #: cluster stand-in), or ``in_process`` (serial reference; forces
+    #: ``file_queue`` (spooled-file job queue — the external cluster
+    #: stand-in), or ``in_process`` (serial reference; forces
     #: the unsharded path regardless of ``workers``).  All backends are
     #: bitwise-identical for any job set.
     backend: str = "process_pool"

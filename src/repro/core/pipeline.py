@@ -205,9 +205,10 @@ class BlissCamPipeline:
         ``config.joint.batch_size`` sets the rank width / step
         granularity and ``config.joint.grad_accum`` selects the
         data-parallel epoch schedule, which ``workers >= 2`` shards over
-        worker processes (``executor`` reuses an existing pool, e.g. a
-        ``repro.api.Session``'s) with bitwise-identical results for any
-        worker count.
+        worker processes (``executor`` and ``transport`` borrow a backend
+        and shared-memory channel, e.g. a ``repro.api.Session``'s,
+        instead of opening them per call) with bitwise-identical results
+        for any worker count.
         """
         if train_indices is None:
             train_indices, _ = self.dataset.split()
@@ -324,9 +325,10 @@ class BlissCamPipeline:
         first-class engine stage).  ``batched`` runs the sequences in
         vectorized lockstep; ``batch_size`` bounds the lockstep width.
         ``workers >= 2`` shards the sequence rank over that many worker
-        processes (composable with ``batched``); ``executor`` reuses an
-        existing pool (e.g. a persistent ``repro.api.Session`` pool)
-        instead of forking one per call.  All modes produce
+        processes (composable with ``batched``); ``executor`` and
+        ``transport`` borrow a backend and shared-memory channel (e.g. a
+        persistent ``repro.api.Session``'s) instead of opening them per
+        call.  All modes produce
         bitwise-identical results; see ``docs/architecture.md``.
         """
         if eval_indices is None:

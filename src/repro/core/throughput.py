@@ -62,15 +62,12 @@ def measure_throughput(
 
     ``workers >= 2`` additionally times the sharded mode — the
     *production* sharded configuration: batched kernels inside each
-    worker process (``sharded_kernels`` records this) — and cross-checks
-    it bitwise against the in-process runs.  ``executor`` (a persistent
-    pool, e.g.  ``repro.api.Session``'s) adds the persistent-pool mode —
-    sharded over the *reused* pool with shard work stealing and the
-    shared-memory ``transport`` channel — plus a ``transport=False``
-    plain-pickle timing of the same configuration, so the record
-    captures per-call-fork vs persistent-pool (``pool_reuse_speedup``)
-    and pickle vs shared-memory dispatch (``transport_speedup``, with
-    per-dispatch payload bytes for both paths) side by side.
+    worker process (``sharded_kernels`` records this) over ``executor``
+    and the shared-memory ``transport`` channel (e.g.
+    ``repro.api.Session``'s; a per-call pool and channel when ``None``)
+    — and cross-checks it bitwise against the in-process runs.  The
+    record's ``transport.channel`` block reports what each dispatch
+    shipped.
     """
     if not eval_indices:
         raise ValueError(
@@ -114,11 +111,18 @@ def measure_throughput(
         # processes).  Sharding sequential kernels would measure pure
         # dispatch overhead on single-core hosts instead of the mode
         # anything actually runs.
+        def sharded(indices):
+            return pipeline.evaluate(
+                indices, batched=True, workers=workers, executor=executor,
+                transport=transport,
+            )
+
+        # Warm the pool's workers once so the timed section compares
+        # steady-state dispatch, not the first fork (the cost a
+        # persistent pool exists to amortize across run() calls).
+        sharded(warm)
         shard_s, shard_result = _best_of(
-            lambda: pipeline.evaluate(
-                eval_indices, batched=True, workers=workers
-            ),
-            repeats,
+            lambda: sharded(eval_indices), repeats
         )
         identical = identical and _same_results(seq_result, shard_result)
         record.update(
@@ -138,70 +142,21 @@ def measure_throughput(
                 },
             }
         )
-        if executor is not None:
-            # Warm the pool's workers once so the timed section compares
-            # steady-state dispatch, not the first fork (exactly the cost
-            # the persistent pool exists to amortize across run() calls).
-            pipeline.evaluate(
-                warm, batched=True, workers=workers, executor=executor,
-                transport=transport,
-            )
-            pers_s, pers_result = _best_of(
-                lambda: pipeline.evaluate(
-                    eval_indices, batched=True, workers=workers,
-                    executor=executor, transport=transport,
-                ),
-                repeats,
-            )
-            identical = identical and _same_results(seq_result, pers_result)
-            # The same configuration over plain-pickle dispatch: the
-            # pre-transport baseline, so the record shows what the bytes
-            # cost (and the handle path's payload shrink) directly.
-            pickle_s, pickle_result = _best_of(
-                lambda: pipeline.evaluate(
-                    eval_indices, batched=True, workers=workers,
-                    executor=executor, transport=False,
-                ),
-                repeats,
-            )
-            identical = identical and _same_results(seq_result, pickle_result)
-            record.update(
-                {
-                    "sharded_persistent_s": pers_s,
-                    "sharded_persistent_fps": _rate(frames, pers_s),
-                    # Per-call-fork sharded time over persistent-pool
-                    # sharded time: the payoff of reusing one pool.
-                    "pool_reuse_speedup": (
-                        shard_s / pers_s if pers_s > 0 else float("inf")
-                    ),
-                    "sharded_pickle_s": pickle_s,
-                    # Plain-pickle dispatch over shared-memory dispatch
-                    # on the same persistent pool: the payoff of the
-                    # transport layer alone.
-                    "transport_speedup": (
-                        pickle_s / pers_s if pers_s > 0 else float("inf")
-                    ),
-                    "transport": {
-                        mode: {
-                            key: res.transport[key]
-                            for key in (
-                                "mode",
-                                "dispatches",
-                                "payload_bytes",
-                                "payload_bytes_per_dispatch",
-                                "segment_bytes_written",
-                                "segments_created",
-                                "publish_reuses",
-                            )
-                        }
-                        for mode, res in (
-                            ("channel", pers_result),
-                            ("pickle", pickle_result),
-                        )
-                        if res.transport is not None
-                    },
+        if shard_result.transport is not None:
+            record["transport"] = {
+                "channel": {
+                    key: shard_result.transport[key]
+                    for key in (
+                        "mode",
+                        "dispatches",
+                        "payload_bytes",
+                        "payload_bytes_per_dispatch",
+                        "segment_bytes_written",
+                        "segments_created",
+                        "publish_reuses",
+                    )
                 }
-            )
+            }
     record["bitwise_identical"] = identical
     return record
 
@@ -240,27 +195,11 @@ def throughput_tables(record: dict) -> list[Table]:
             _fmt(record["sharded_s"] * 1e3),
         )
         fps.add_row("sharded speedup", f"{record['sharded_speedup']:.2f}x", "")
-    if "sharded_persistent_s" in record:
+    channel = record.get("transport", {}).get("channel")
+    if channel is not None:
         fps.add_row(
-            f"sharded x{record['workers']} (persistent pool)",
-            _fmt(record["sharded_persistent_fps"]),
-            _fmt(record["sharded_persistent_s"] * 1e3),
-        )
-        fps.add_row(
-            "pool reuse speedup", f"{record['pool_reuse_speedup']:.2f}x", ""
-        )
-    if "transport_speedup" in record:
-        fps.add_row(
-            "transport speedup (vs pickle dispatch)",
-            f"{record['transport_speedup']:.2f}x",
-            "",
-        )
-    paths = record.get("transport") or {}
-    if "channel" in paths and "pickle" in paths:
-        fps.add_row(
-            "payload bytes/dispatch (channel vs pickle)",
-            f"{paths['channel']['payload_bytes_per_dispatch']:.0f}"
-            f" vs {paths['pickle']['payload_bytes_per_dispatch']:.0f}",
+            f"payload bytes/dispatch ({channel['mode']})",
+            f"{channel['payload_bytes_per_dispatch']:.0f}",
             "",
         )
 

@@ -161,7 +161,9 @@ def evaluate_strategy(
     runner the end-to-end tracker uses.  Each sequence samples from its
     own ``strategy.spawn`` stream keyed by sequence index (derived from
     ``rng``), so all three execution modes — sequential, ``batched``
-    lockstep, and sharded (``workers >= 2``) — produce bitwise-identical
+    lockstep, and sharded (``workers >= 2``, over ``executor`` and
+    ``transport`` when passed, else a per-call pool and channel; see
+    :meth:`repro.engine.SequenceRunner.run`) — produce bitwise-identical
     results; Fig. 15 sweeps can fan out freely.
     """
     from repro.engine import build_strategy_graph, strategy_runner

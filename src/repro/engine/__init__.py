@@ -35,8 +35,8 @@ from repro.engine.executors import (
     FileQueueBackend,
     InProcessExecutor,
     ProcessPoolBackend,
-    ThreadBackend,
     make_executor,
+    sharding,
 )
 from repro.engine.stage import Stage, StageGraph
 from repro.engine.transport import (
@@ -74,10 +74,10 @@ __all__ = [
     "ExecutorBackend",
     "InProcessExecutor",
     "ProcessPoolBackend",
-    "ThreadBackend",
     "FileQueueBackend",
     "EXECUTOR_BACKENDS",
     "make_executor",
+    "sharding",
     "TransportChannel",
     "TransportError",
     "ObjectHandle",

@@ -4,22 +4,18 @@ Every sharded path in the repository (engine sequence-rank sharding,
 strategy-sweep fan-out, data-parallel training epochs, serve scheduler
 replicas) dispatches module-level jobs through a single seam:
 ``executor.submit(job, *args)`` with results collected in fixed futures
-order.  This module formalizes the seam the runtime has used implicitly
-since PR 2 into an explicit :class:`ExecutorBackend` protocol —
-``submit`` / ``map`` / ``shutdown`` / ``max_workers`` — with four
+order.  This module formalizes that seam as the :class:`ExecutorBackend`
+protocol — ``submit`` / ``shutdown`` / ``max_workers`` — with three
 interchangeable backends:
 
 * :class:`InProcessExecutor` — runs every job synchronously at submit
   time.  The *deterministic reference*: zero concurrency, zero
   processes, exactly the semantics every other backend is pinned
   bitwise against.
-* :class:`ProcessPoolBackend` — today's production backend: a
+* :class:`ProcessPoolBackend` — the production backend: a
   :func:`~repro.engine.runner.shard_executor` process pool (fork
-  context), composed with the shared-memory transport channel by the
-  callers that own one.
-* :class:`ThreadBackend` — a thread pool, for the GIL-light BLAS-heavy
-  kernels (the attention matmuls, vectorized eventification): no
-  process boundary, no pickling, shared address space.
+  context), composed with the shared-memory transport channel by
+  :func:`sharding`.
 * :class:`FileQueueBackend` — jobs round-trip through *spooled files*:
   ``submit`` pickles ``(fn, args, kwargs, traced)`` to a job file in a
   spool directory, detached worker processes claim job files by atomic
@@ -30,12 +26,16 @@ interchangeable backends:
   backend (SLURM/SGE submit scripts, a distributed queue) plugs into
   later.
 
+:func:`sharding` is the one place a sharded job's dispatch resources
+are decided: the caller's backend and channel when it passes them, a
+fresh process pool and transport channel (closed on exit) when not.
+
 Determinism: all backends execute the same module-level job functions
 on the same payloads and results are consumed in submission order, so
 any job set whose jobs are independent (the repository's invariant —
 per-sequence RNG streams, no cross-shard state) produces bitwise
 identical merged results on every backend.  ``tests/engine/
-test_executors.py`` pins all four against the in-process reference.
+test_executors.py`` pins all three against the in-process reference.
 
 Backends are selected declaratively via the spec field
 ``execution.backend`` (see ``docs/api.md``); ``repro.api.Session``
@@ -51,22 +51,23 @@ import shutil
 import tempfile
 import time
 import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Future
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
+from repro.engine.transport import TransportChannel
 from repro.obs.tracer import SpanRecord, current_tracer, finish_wall
 
 __all__ = [
     "ExecutorBackend",
     "InProcessExecutor",
     "ProcessPoolBackend",
-    "ThreadBackend",
     "FileQueueBackend",
     "FileQueueJobError",
     "EXECUTOR_BACKENDS",
     "make_executor",
+    "sharding",
     "SPOOL_PREFIX",
 ]
 
@@ -105,18 +106,15 @@ class ExecutorBackend(Protocol):
 
     ``max_workers`` is the parallelism the backend was built for (the
     shard-cut width callers size against); ``submit`` returns a future
-    whose ``result()`` blocks; ``map`` applies a function over iterables
-    in order; ``shutdown(wait=True)`` drains in-flight work before
-    releasing resources.  After ``shutdown`` every ``submit`` raises
-    ``RuntimeError`` — callers holding a stale backend fail loudly
-    instead of silently re-forking.
+    whose ``result()`` blocks; ``shutdown(wait=True)`` drains in-flight
+    work before releasing resources.  After ``shutdown`` every
+    ``submit`` raises ``RuntimeError`` — callers holding a stale backend
+    fail loudly instead of silently re-forking.
     """
 
     max_workers: int
 
     def submit(self, fn: Callable, /, *args: Any, **kwargs: Any): ...
-
-    def map(self, fn: Callable, *iterables: Iterable) -> Iterable: ...
 
     def shutdown(self, wait: bool = True) -> None: ...
 
@@ -167,9 +165,6 @@ class InProcessExecutor:
                 future.set_exception(exc)
         return future
 
-    def map(self, fn: Callable, *iterables: Iterable) -> Iterable:
-        return [self.submit(fn, *args).result() for args in zip(*iterables)]
-
     def shutdown(self, wait: bool = True) -> None:
         self._closed = True
 
@@ -202,44 +197,6 @@ class ProcessPoolBackend:
             # in the deterministic plane (see finish_wall).
             future.add_done_callback(lambda _f: finish_wall(span))
         return future
-
-    def map(self, fn: Callable, *iterables: Iterable) -> Iterable:
-        return self._pool.map(fn, *iterables)
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait)
-
-
-class ThreadBackend:
-    """A thread pool for GIL-light kernels: no pickling, shared memory.
-
-    The repository's numeric kernels spend their time inside BLAS and
-    vectorized numpy, which release the GIL; shard jobs keep all
-    cross-frame state in per-sequence ``SequenceState`` objects, so
-    threads sharing one resolved payload race on nothing.  Bitwise
-    identical to the in-process reference (pinned).
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int):
-        self.max_workers = int(max_workers)
-        self._seq = 0
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="repro-shard",
-        )
-
-    def submit(self, fn: Callable, /, *args: Any, **kwargs: Any):
-        self._seq += 1
-        span = _open_job_span(self.name, self._seq, fn)
-        future = self._pool.submit(fn, *args, **kwargs)
-        if span is not None:
-            future.add_done_callback(lambda _f: finish_wall(span))
-        return future
-
-    def map(self, fn: Callable, *iterables: Iterable) -> Iterable:
-        return self._pool.map(fn, *iterables)
 
     def shutdown(self, wait: bool = True) -> None:
         self._pool.shutdown(wait=wait)
@@ -438,10 +395,6 @@ class FileQueueBackend:
             self._results / f"{name}.result", self._poll_s
         )
 
-    def map(self, fn: Callable, *iterables: Iterable) -> Iterable:
-        futures = [self.submit(fn, *args) for args in zip(*iterables)]
-        return [future.result() for future in futures]
-
     def drain_spans(self, tracer) -> int:
         """Merge spooled worker captures into ``tracer``; returns spans.
 
@@ -489,7 +442,6 @@ class FileQueueBackend:
 EXECUTOR_BACKENDS: dict[str, type] = {
     "in_process": InProcessExecutor,
     "process_pool": ProcessPoolBackend,
-    "thread": ThreadBackend,
     "file_queue": FileQueueBackend,
 }
 
@@ -503,3 +455,38 @@ def make_executor(backend: str, max_workers: int):
             f"choose from {sorted(EXECUTOR_BACKENDS)}"
         )
     return cls(max_workers)
+
+
+@contextmanager
+def sharding(
+    workers: int,
+    executor=None,
+    transport: TransportChannel | None = None,
+) -> Iterator[tuple[Any, TransportChannel]]:
+    """Yield ``(backend, channel)`` for one sharded dispatch.
+
+    The caller's ``executor`` and ``transport`` are borrowed as given
+    (e.g. a ``Session``'s persistent backend and channel, whose
+    published segments outlive this dispatch).  When either is
+    ``None``, a ``process_pool`` backend of ``workers`` processes or a
+    fresh :class:`~repro.engine.transport.TransportChannel` is opened
+    here and closed on exit (backend first, so no worker outlives the
+    segments it reads); nothing the caller passed is closed.  The
+    pool forks on its first ``submit``, so payloads published inside
+    the block before that are inherited by the workers.
+    """
+    channel = transport if transport is not None else TransportChannel()
+    try:
+        backend = (
+            executor
+            if executor is not None
+            else make_executor("process_pool", workers)
+        )
+        try:
+            yield backend, channel
+        finally:
+            if executor is None:
+                backend.shutdown(wait=True)
+    finally:
+        if transport is None:
+            channel.close()

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.engine.context import FrameContext, SequenceState
+from repro.engine.executors import sharding
 from repro.engine.stage import StageGraph
 from repro.engine.transport import ObjectHandle, TransportChannel, resolve_payload
 from repro.obs.tracer import current_tracer
@@ -53,10 +54,10 @@ __all__ = [
     "contiguous_shards",
 ]
 
-#: Shard oversubscription when an external (persistent) executor runs the
-#: shards: cutting the rank into ``workers * STEAL_FACTOR`` pieces lets an
-#: idle worker steal the next pending shard, so unequal sequence lengths
-#: no longer leave workers stalled behind one long contiguous shard.
+#: Shard oversubscription: cutting the rank into ``workers * STEAL_FACTOR``
+#: pieces lets an idle worker steal the next pending shard, so unequal
+#: sequence lengths no longer leave workers stalled behind one long
+#: contiguous shard.
 STEAL_FACTOR = 4
 
 
@@ -105,42 +106,29 @@ def _default_state_factory(seq_index: int) -> SequenceState:
 
 
 def _execute_shard(
-    runner: "SequenceRunner",
-    shard: list[tuple[int, Any]],
+    runner_handle: ObjectHandle,
+    shard_handle: ObjectHandle,
     batched: bool,
 ) -> tuple[list[FrameContext], dict[str, StageTiming]]:
-    """Run one shard with the in-process kernels (worker-side entry point).
+    """Worker-side entry point: resolve handles, then run one shard.
 
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it; the runner (graph + state factory) travels with the task.
+    The runner (graph + state factory) and the shard's sequences arrive
+    as content-addressed :class:`~repro.engine.transport.ObjectHandle`\\ s:
+    big arrays map read-only from shared memory and repeated dispatches
+    of identical payloads hit the worker's digest cache instead of
+    re-deserializing.  Stages keep all cross-frame state in
+    ``SequenceState`` (never on themselves), so executing a cached
+    runner object repeatedly is exactly as stateless as unpickling a
+    fresh copy per task — the sharded parity suites pin this.
     """
+    runner = resolve_payload(runner_handle)
+    shard = resolve_payload(shard_handle)
     timings = {name: StageTiming() for name in runner.graph.stage_names}
     if batched:
         contexts = runner._run_batched(shard, timings)
     else:
         contexts = runner._run_sequential(shard, timings)
     return contexts, timings
-
-
-def _execute_shard_handles(
-    runner_handle: ObjectHandle,
-    shard_handle: ObjectHandle,
-    batched: bool,
-) -> tuple[list[FrameContext], dict[str, StageTiming]]:
-    """Transport-mode worker entry: resolve handles, then run the shard.
-
-    The runner and the shard's sequences arrive as content-addressed
-    :class:`~repro.engine.transport.ObjectHandle`\\ s: big arrays map
-    read-only from shared memory and repeated dispatches of identical
-    payloads hit the worker's digest cache instead of re-deserializing.
-    Stages keep all cross-frame state in ``SequenceState`` (never on
-    themselves), so executing a cached runner object repeatedly is
-    exactly as stateless as unpickling a fresh copy per task — the
-    sharded parity suites pin this.
-    """
-    runner = resolve_payload(runner_handle)
-    shard = resolve_payload(shard_handle)
-    return _execute_shard(runner, shard, batched)
 
 
 def _pool_context():
@@ -172,10 +160,11 @@ def contiguous_shards(items: list, n_shards: int) -> list[list]:
 def shard_executor(max_workers: int) -> ProcessPoolExecutor:
     """A process pool suitable for sharded runs.
 
-    The canonical constructor for *persistent* pools (``repro.api``'s
-    :class:`Session` owns one and reuses it across runs); standalone
-    ``run(workers=N)`` calls without an injected executor still build a
-    throwaway pool per call from the same context.
+    The one place a process pool is built: :class:`~repro.engine.
+    executors.ProcessPoolBackend` wraps it, both for the pools
+    ``repro.api``'s :class:`Session` keeps across runs and for the
+    per-call pool :func:`~repro.engine.executors.sharding` opens when a
+    run gets no executor.
     """
     return ProcessPoolExecutor(
         max_workers=max_workers, mp_context=_pool_context()
@@ -249,8 +238,8 @@ class SequenceRunner:
         sequences: Sequence[tuple[int, Any]],
         batched: bool = False,
         workers: int | None = None,
-        executor: Executor | None = None,
-        transport: TransportChannel | bool | None = None,
+        executor=None,
+        transport: TransportChannel | None = None,
     ) -> EngineRun:
         """Run the graph over ``[(seq_index, sequence), ...]``.
 
@@ -259,29 +248,22 @@ class SequenceRunner:
         (per ``batched``) and the merged result is bitwise-identical to
         the single-process modes.  ``None``/``1`` runs in-process.
 
-        ``executor`` injects an existing pool for the sharded mode instead
-        of forking a fresh one per call (the historical per-call cost):
-        a persistent :func:`shard_executor` — e.g. the one owned by
-        ``repro.api.Session`` — can then be shared across runs, tests and
-        benches.  With an injected executor the rank is cut into
-        ``workers * STEAL_FACTOR`` contiguous shards so idle workers
-        steal pending shards when sequence lengths are unequal; shard
-        boundaries never affect results, only scheduling.
+        Shards reach the workers through
+        :func:`~repro.engine.executors.sharding`: ``executor`` is an
+        :class:`~repro.engine.executors.ExecutorBackend` (e.g. the
+        persistent one ``repro.api.Session`` owns) and ``transport`` a
+        :class:`~repro.engine.transport.TransportChannel` whose
+        segments outlive this run, so repeated runs ship each payload's
+        bytes once.  Either left ``None`` is opened for this run and
+        closed on return.  The rank is cut into ``workers *
+        STEAL_FACTOR`` contiguous shards so idle workers steal pending
+        shards when sequence lengths are unequal; shard boundaries never
+        affect results, only scheduling.  The channel ships the runner
+        and the sequences as content-addressed shared-memory handles
+        (plain pickle where shared memory is unavailable or disabled
+        with ``REPRO_DISABLE_SHM=1``).
 
-        ``transport`` controls how shard payloads reach the workers:
-
-        * ``None`` (default) — a per-run
-          :class:`~repro.engine.transport.TransportChannel` ships the
-          runner and the sequences as content-addressed shared-memory
-          handles (plain pickle where shared memory is unavailable) and
-          unlinks its segments on run teardown;
-        * a channel instance — a *persistent* channel (e.g. the one
-          ``repro.api.Session`` owns) whose segments outlive this run,
-          so repeated runs ship each payload's bytes once;
-        * ``False`` — force the inline-pickle path (what the benchmarks
-          time as the pre-transport baseline).
-
-        All transport modes are bitwise-identical; the run's
+        Both transport modes are bitwise-identical; the run's
         :attr:`EngineRun.transport` records what actually moved.
         """
         if workers is not None and workers < 1:
@@ -346,61 +328,36 @@ class SequenceRunner:
         sequences: list[tuple[int, Any]],
         batched: bool,
         workers: int,
-        executor: Executor | None = None,
-        transport: TransportChannel | bool | None = None,
+        executor=None,
+        transport: TransportChannel | None = None,
     ) -> tuple[list[FrameContext], dict[str, StageTiming], dict]:
         # Contiguous balanced shards: concatenating shard outputs in shard
         # order reproduces the sequence-major ordering of the in-process
-        # modes exactly.  An injected executor gets an oversubscribed cut
-        # (work stealing); a throwaway pool gets one shard per worker.
-        n_shards = (
-            min(len(sequences), workers * STEAL_FACTOR) if executor else workers
+        # modes exactly.
+        shards = contiguous_shards(
+            sequences, min(len(sequences), workers * STEAL_FACTOR)
         )
-        shards = contiguous_shards(sequences, n_shards)
-        if isinstance(transport, TransportChannel):
-            channel, own_channel = transport, False
-        else:
-            # Per-run channel: ``None`` auto-detects shared memory,
-            # ``False`` forces the inline-pickle fallback.  Either way
-            # the channel (and its segments) dies with this run.
-            channel = TransportChannel(use_shm=None if transport is None else False)
-            own_channel = True
-        try:
+        with sharding(workers, executor, transport) as (backend, channel):
             before = dict(channel.stats)
-            # Publish the payloads *before* forking a throwaway pool:
-            # fork-inherited mappings make the workers' segment attaches
-            # free.  The runner ships once per run; each shard ships as
-            # its own handle so the work-stealing dispatch stays per-shard.
+            # The runner ships once per run; each shard ships as its own
+            # handle so the work-stealing dispatch stays per-shard.
             runner_handle = channel.publish(self)
             shard_handles = [channel.publish(shard) for shard in shards]
-            tasks = [
-                (runner_handle, handle, batched) for handle in shard_handles
+            # submit() preserves shard order through the futures list
+            # while letting the pool hand the next pending shard to
+            # whichever worker frees up first.
+            futures = [
+                backend.submit(_execute_shard, runner_handle, handle, batched)
+                for handle in shard_handles
             ]
-            if executor is not None:
-                # submit() preserves shard order through the futures list
-                # while letting the pool hand the next pending shard to
-                # whichever worker frees up first.
-                futures = [
-                    executor.submit(_execute_shard_handles, *task)
-                    for task in tasks
-                ]
-                results = [f.result() for f in futures]
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=len(shards), mp_context=_pool_context()
-                ) as pool:
-                    # map() preserves shard order; sequences within a shard
-                    # keep their relative order inside the worker.
-                    results = list(
-                        pool.map(_execute_shard_handles, *zip(*tasks))
-                    )
+            results = [f.result() for f in futures]
             dispatch_bytes = sum(
                 runner_handle.wire_bytes + handle.wire_bytes
                 for handle in shard_handles
             )
             transport_info = {
                 "mode": "shm" if channel.use_shm else "pickle",
-                "persistent_channel": not own_channel,
+                "persistent_channel": transport is not None,
                 "dispatches": len(shards),
                 "payload_bytes": dispatch_bytes,
                 "payload_bytes_per_dispatch": dispatch_bytes / len(shards),
@@ -415,9 +372,6 @@ class SequenceRunner:
                     channel.stats["publish_reuses"] - before["publish_reuses"]
                 ),
             }
-        finally:
-            if own_channel:
-                channel.close()
         contexts: list[FrameContext] = []
         timings: dict[str, StageTiming] = {
             name: StageTiming() for name in self.graph.stage_names

@@ -327,21 +327,19 @@ class Scheduler:
 
 
 # -- simulation entry points --------------------------------------------------
-def _serve_partition(
+def _run_replica(
     graph: StageGraph,
     state_factory,
     dataset_cfg,
     scenario,
     slo: SLOModel,
-    client_ids: list[int],
     micro_batch: bool,
+    client_ids: list[int],
 ) -> tuple[Telemetry, list, float]:
     """Run one scheduler replica over a client partition.
 
-    Module-level so sharded serving can ship it to worker processes
-    (the graph, state factory and dataset config all pickle; streams are
-    rebuilt in-worker from their client ids — cheaper than pickling
-    frames).
+    Streams are rebuilt from their client ids (cheaper than shipping
+    frames); the graph, state factory and dataset config all pickle.
     """
     streams = build_streams(
         dataset_cfg,
@@ -369,8 +367,8 @@ def _serve_partition(
     return telemetry, gaze_log, wall
 
 
-def _serve_partition_handles(bundle_handle, client_ids: list[int]):
-    """Shared-memory worker entry for one scheduler replica.
+def _serve_partition(bundle_handle, client_ids: list[int]):
+    """Worker-side entry point: one scheduler replica.
 
     The replica-invariant bundle — graph, state factory (carrying the
     calibrated sensor template), dataset config, scenario, SLO model and
@@ -382,13 +380,7 @@ def _serve_partition_handles(bundle_handle, client_ids: list[int]):
     """
     from repro.engine.transport import resolve_payload
 
-    graph, state_factory, dataset_cfg, scenario, slo, micro_batch = (
-        resolve_payload(bundle_handle)
-    )
-    return _serve_partition(
-        graph, state_factory, dataset_cfg, scenario, slo, client_ids,
-        micro_batch,
-    )
+    return _run_replica(*resolve_payload(bundle_handle), client_ids)
 
 
 def simulate_serving(
@@ -411,15 +403,15 @@ def simulate_serving(
     dispatches frames one at a time — the per-client-sequential baseline
     the serving benchmark compares against.  ``workers >= 2`` partitions
     the fleet into that many independent scheduler replicas executed in
-    worker processes (``executor`` injects a persistent pool, e.g. the
-    session's, and ``transport`` its shared-memory channel — ``None``
-    opens a per-run channel, ``False`` forces plain-pickle dispatch;
-    telemetry is identical in every mode).  Telemetry latencies are
-    virtual-clock, hence deterministic; ``wall_seconds`` measures the
-    real serving loop.
+    worker processes, dispatched through
+    :func:`~repro.engine.executors.sharding`: ``executor`` and
+    ``transport`` borrow a backend and shared-memory channel (e.g. the
+    session's), and one left ``None`` is opened for this call.
+    Telemetry is identical whether the bundle ships over shared memory
+    or plain pickle.  Telemetry latencies are virtual-clock, hence
+    deterministic; ``wall_seconds`` measures the real serving loop.
     """
-    from repro.engine.runner import contiguous_shards
-    from repro.engine.transport import TransportChannel
+    from repro.engine import contiguous_shards, sharding
 
     if slo is None:
         slo = SLOModel.from_hardware(
@@ -430,47 +422,19 @@ def simulate_serving(
     if client_ids is None:
         client_ids = list(range(scenario.num_clients))
     n_workers = max(1, min(workers or 1, len(client_ids)))
+    bundle = (graph, state_factory, dataset_cfg, scenario, slo, micro_batch)
     if n_workers >= 2:
         partitions = contiguous_shards(client_ids, n_workers)
-        own_channel = None
-        channel = None
-        if transport is not False:
-            if isinstance(transport, TransportChannel):
-                channel = transport
-            else:
-                own_channel = channel = TransportChannel()
-        try:
-            if channel is not None:
-                # The replica-invariant bundle ships once (slot-keyed, so
-                # a later serve run on a persistent channel replaces this
-                # generation's segments); published before any throwaway
-                # pool forks so workers inherit the mappings.
-                bundle_handle = channel.publish(
-                    (graph, state_factory, dataset_cfg, scenario, slo,
-                     micro_batch),
-                    slot="serve_bundle",
-                )
-                args = [(bundle_handle, part) for part in partitions]
-                job = _serve_partition_handles
-            else:
-                args = [
-                    (graph, state_factory, dataset_cfg, scenario, slo, part,
-                     micro_batch)
-                    for part in partitions
-                ]
-                job = _serve_partition
-            if executor is not None:
-                futures = [executor.submit(job, *a) for a in args]
-                results = [f.result() for f in futures]
-            else:
-                from repro.engine.runner import shard_executor
-
-                with shard_executor(len(partitions)) as pool:
-                    futures = [pool.submit(job, *a) for a in args]
-                    results = [f.result() for f in futures]
-        finally:
-            if own_channel is not None:
-                own_channel.close()
+        with sharding(n_workers, executor, transport) as (backend, channel):
+            # The replica-invariant bundle ships once (slot-keyed, so a
+            # later serve run on a persistent channel replaces this
+            # generation's segments).
+            bundle_handle = channel.publish(bundle, slot="serve_bundle")
+            futures = [
+                backend.submit(_serve_partition, bundle_handle, part)
+                for part in partitions
+            ]
+            results = [f.result() for f in futures]
         telemetry, gaze_log, _ = results[0]
         for part_telemetry, part_log, _ in results[1:]:
             telemetry.merge(part_telemetry)
@@ -480,10 +444,7 @@ def simulate_serving(
         wall = max(w for _, _, w in results)
     else:
         n_workers = 1
-        telemetry, gaze_log, wall = _serve_partition(
-            graph, state_factory, dataset_cfg, scenario, slo,
-            client_ids, micro_batch,
-        )
+        telemetry, gaze_log, wall = _run_replica(*bundle, client_ids)
     return ServeRun(
         telemetry=telemetry,
         gaze_log=gaze_log,

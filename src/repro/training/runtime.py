@@ -367,23 +367,28 @@ def _resolve_shard(shard_spec) -> list[tuple[int, object]]:
 
 
 def _epoch_shard_job(
-    roi_predictor,
-    segmenter,
-    config: JointTrainConfig,
-    seed: int,
-    epoch: int,
-    shard_spec,
+    models_handle, shard_handle, epoch: int
 ) -> list[_SequenceGrads]:
     """Worker-side entry point: per-sequence gradients for one shard.
 
-    Module-level so the pool can pickle it; per epoch only the models
-    (carrying the epoch-start weights) and the shard *spec* travel —
-    sequence data is rebuilt worker-side from the dataset config (see
-    :func:`_resolve_shard`).  Workers rebuild the canonical loss kernels
-    — :meth:`TrainRunner.run` refuses to shard when non-canonical
-    components were injected, so worker-side and in-process execution
-    can never silently diverge.
+    Module-level so the pool can pickle it.  ``models_handle`` carries
+    ``(roi_predictor, segmenter, config, seed)`` published per epoch into
+    a slot (so epoch ``e``'s weights replace epoch ``e-1``'s segments);
+    ``shard_handle`` carries the run-constant shard *spec*, published
+    once and digest-cached worker-side, so steady-state epochs resolve
+    it without touching the bytes again — sequence data is rebuilt
+    worker-side from the dataset config (see :func:`_resolve_shard`).
+    Weight arrays arrive as read-only views over the mapped segments;
+    ``Parameter.__setstate__`` recreates writable gradient buffers, and
+    workers never write ``.data`` — they only accumulate gradients — so
+    read-only weights are exactly as safe as pickled copies.  Workers
+    rebuild the canonical loss kernels — :meth:`TrainRunner.run` refuses
+    to shard when non-canonical components were injected, so
+    worker-side and in-process execution can never silently diverge.
     """
+    from repro.engine.transport import resolve_payload
+
+    roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
     seg_loss = CrossEntropyLoss()
     roi_loss = MSELoss()
     soft_mask = SoftROIMask(
@@ -402,31 +407,8 @@ def _epoch_shard_job(
             roi_loss,
             soft_mask,
         )
-        for seq_index, seq in _resolve_shard(shard_spec)
+        for seq_index, seq in _resolve_shard(resolve_payload(shard_handle))
     ]
-
-
-def _epoch_shard_job_handles(models_handle, shard_handle, epoch: int):
-    """Shared-memory worker entry: resolve handles, run the shard job.
-
-    ``models_handle`` carries ``(roi_predictor, segmenter, config,
-    seed)`` published per epoch into a slot (so epoch ``e``'s weights
-    replace epoch ``e-1``'s segments); ``shard_handle`` carries the
-    run-constant shard spec, published once and digest-cached
-    worker-side, so steady-state epochs resolve it without touching the
-    bytes again.  Weight arrays arrive as read-only views over the
-    mapped segments; ``Parameter.__setstate__`` recreates writable
-    gradient buffers, and workers never write ``.data`` — they only
-    accumulate gradients — so read-only weights are exactly as safe as
-    pickled copies.
-    """
-    from repro.engine.transport import resolve_payload
-
-    roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
-    shard_spec = resolve_payload(shard_handle)
-    return _epoch_shard_job(
-        roi_predictor, segmenter, config, seed, epoch, shard_spec
-    )
 
 
 class TrainRunner:
@@ -496,9 +478,7 @@ class TrainRunner:
         """Train over ``sequence_indices`` for ``config.epochs`` epochs.
 
         ``workers >= 2`` shards the data-parallel schedule's per-sequence
-        gradient passes over worker processes (``executor`` injects an
-        existing pool, e.g. a ``repro.api.Session``'s; otherwise a
-        throwaway pool is forked per call).  Requires
+        gradient passes over worker processes.  Requires
         ``config.grad_accum`` — the stepped schedule updates weights
         every minibatch and is inherently sequential.  As with
         :meth:`~repro.engine.SequenceRunner.run`, the worker count is
@@ -506,12 +486,13 @@ class TrainRunner:
         in-process (same bits — workers never change results) even when
         an executor was injected.
 
-        ``transport`` follows the engine runner's convention: ``None``
-        opens a per-run shared-memory
-        :class:`~repro.engine.transport.TransportChannel` (closed on
-        return), a channel instance reuses a persistent one (e.g. a
-        ``Session``'s), and ``False`` forces the plain-pickle dispatch
-        path.  Results are bitwise-identical in every mode.
+        ``executor`` and ``transport`` follow the engine runner's
+        convention (:func:`~repro.engine.executors.sharding`): a passed
+        backend or :class:`~repro.engine.transport.TransportChannel` is
+        borrowed (e.g. a ``Session``'s), one left ``None`` is opened for
+        this call and closed on return.  Results are bitwise-identical
+        whether shards ship over shared memory or, where that is
+        unavailable, plain pickle.
         """
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
@@ -643,55 +624,38 @@ class TrainRunner:
         transport,
     ) -> JointTrainResult:
         """One Adam step per epoch over fixed-order per-sequence sums."""
-        from repro.engine import contiguous_shards, shard_executor
-        from repro.engine.transport import TransportChannel
+        from repro.engine import contiguous_shards, sharding
 
         cfg = self.config
         n_workers = min(workers, len(indices))
         result = JointTrainResult()
         roi_params = self.roi_predictor.parameters()
         seg_params = self.segmenter.parameters()
-        # Shard *specs* are fixed for the whole run; sharded rebuild mode
-        # never renders the training sequences in the parent at all.
-        shard_specs = (
-            [
-                self._shard_spec(dataset, shard)
-                for shard in contiguous_shards(indices, n_workers)
-            ]
-            if n_workers >= 2
-            else None
-        )
-        # Shared-memory transport for the shard dispatches: a channel
-        # instance is reused (persistent Session channel), ``None`` opens
-        # a per-run channel, ``False`` keeps plain-pickle dispatch.
-        own_channel = None
-        channel = None
-        if n_workers >= 2 and transport is not False:
-            if isinstance(transport, TransportChannel):
-                channel = transport
-            else:
-                own_channel = channel = TransportChannel()
-        # The run-constant shard specs ship once, into slots a later
-        # training run on the same channel will recycle.  Published
-        # before the throwaway pool forks so its workers inherit the
-        # mappings instead of re-attaching.
-        shard_handles = (
-            [
-                channel.publish(spec, slot=("train_shard", i))
-                for i, spec in enumerate(shard_specs)
-            ]
-            if channel is not None
-            else None
-        )
-        # One throwaway pool per *run* (not per epoch) when no executor
-        # was injected.
-        pool = (
-            shard_executor(n_workers)
-            if n_workers >= 2 and executor is None
-            else None
-        )
         tracer = current_tracer()
-        try:
+        # One backend + channel for the whole run (not per epoch).
+        dispatch = (
+            sharding(n_workers, executor, transport)
+            if n_workers >= 2
+            else nullcontext((None, None))
+        )
+        with dispatch as (backend, channel):
+            # The run-constant shard specs ship once, into slots a later
+            # training run on the same channel will recycle; sharded
+            # rebuild mode never renders the training sequences in the
+            # parent at all.
+            shard_handles = (
+                [
+                    channel.publish(
+                        self._shard_spec(dataset, shard),
+                        slot=("train_shard", i),
+                    )
+                    for i, shard in enumerate(
+                        contiguous_shards(indices, n_workers)
+                    )
+                ]
+                if backend is not None
+                else None
+            )
             for epoch in range(cfg.epochs):
                 epoch_span = (
                     tracer.span(
@@ -708,15 +672,9 @@ class TrainRunner:
                     tracer.count("train.epochs")
                 with epoch_span:
                     self._accumulate_epoch(
-                        dataset, indices, shard_specs, shard_handles, channel,
-                        epoch, n_workers, executor or pool, roi_params,
-                        seg_params, result,
+                        dataset, indices, shard_handles, channel, epoch,
+                        backend, roi_params, seg_params, result,
                     )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-            if own_channel is not None:
-                own_channel.close()
         return result
 
     @staticmethod
@@ -753,21 +711,19 @@ class TrainRunner:
         self,
         dataset,
         indices: list[int],
-        shard_specs: list | None,
         shard_handles: list | None,
         channel,
         epoch: int,
-        workers: int,
-        executor,
+        backend,
         roi_params,
         seg_params,
         result: JointTrainResult,
     ) -> None:
         """One data-parallel epoch: reduce per-sequence sums, step once."""
         cfg = self.config
-        if workers >= 2:
+        if backend is not None:
             per_seq = self._sharded_epoch(
-                shard_specs, shard_handles, channel, epoch, executor
+                shard_handles, channel, epoch, backend
             )
         else:
             # Lazy in-process generation: only one sequence's gradient
@@ -824,51 +780,31 @@ class TrainRunner:
         result.roi_losses.append(roi_sum / ranks)
 
     def _sharded_epoch(
-        self, shard_specs: list, shard_handles: list | None, channel,
-        epoch: int, executor,
+        self, shard_handles: list, channel, epoch: int, backend
     ):
         """Per-sequence gradients of one epoch, sharded over processes.
 
-        Contiguous shards of whole sequences onto ``executor`` (the
-        caller's injected pool, or the one ``_run_accumulated`` opened
-        for the whole run); the models ship with each task carrying the
-        epoch-start weights (gradient buffers are stripped by
-        ``Parameter.__getstate__``).  With a transport channel the
+        Contiguous shards of whole sequences onto ``backend``.  The
         epoch-start weights are published into the ``"train_models"``
         slot — each epoch's segments *replace* the previous epoch's
         (safe: every epoch-``e`` task completes before epoch ``e+1``
-        publishes) — and each dispatch ships two tiny handles instead of
-        the models + shard payload.  Yields shard results in shard order
-        — exact sequence order for the parent-side reduction.  Peak
-        parent-side memory is bounded by the worker count: shards that
-        finish early sit buffered in their futures until the in-order
-        reduction reaches them.
+        publishes) — and each dispatch ships two tiny handles (gradient
+        buffers are stripped by ``Parameter.__getstate__``).  Yields
+        shard results in shard order — exact sequence order for the
+        parent-side reduction.  Peak parent-side memory is bounded by
+        the worker count: shards that finish early sit buffered in their
+        futures until the in-order reduction reaches them.
         """
-        if channel is not None:
-            models_handle = channel.publish(
-                (self.roi_predictor, self.segmenter, self.config, self.seed),
-                slot="train_models",
+        models_handle = channel.publish(
+            (self.roi_predictor, self.segmenter, self.config, self.seed),
+            slot="train_models",
+        )
+        futures = [
+            backend.submit(
+                _epoch_shard_job, models_handle, shard_handle, epoch
             )
-            futures = [
-                executor.submit(
-                    _epoch_shard_job_handles, models_handle, shard_handle,
-                    epoch,
-                )
-                for shard_handle in shard_handles
-            ]
-        else:
-            futures = [
-                executor.submit(
-                    _epoch_shard_job,
-                    self.roi_predictor,
-                    self.segmenter,
-                    self.config,
-                    self.seed,
-                    epoch,
-                    shard_spec,
-                )
-                for shard_spec in shard_specs
-            ]
+            for shard_handle in shard_handles
+        ]
         tracer = current_tracer()
         if tracer is not None:
             tracer.count("train.shard_dispatches", len(futures))

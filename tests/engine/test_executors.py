@@ -2,7 +2,7 @@
 
 The :class:`~repro.engine.executors.ExecutorBackend` protocol is the
 seam every sharded path dispatches through; these tests pin the
-contract (submit/map/shutdown/max_workers), the four backends' parity
+contract (submit/shutdown/max_workers), the three backends' parity
 on a real staged-engine run, and the file-queue backend's
 self-containment (jobs round-trip through spooled files only).
 """
@@ -55,11 +55,10 @@ class TestProtocolContract:
             assert ex.max_workers == 2
             # result(timeout) is part of the future contract everywhere.
             assert ex.submit(_square, 7).result(30) == 49
-            assert list(ex.map(_square, [1, 2, 3])) == [1, 4, 9]
         finally:
             ex.shutdown(wait=True)
 
-    @pytest.mark.parametrize("backend", ("in_process", "thread", "file_queue"))
+    @pytest.mark.parametrize("backend", ("in_process", "file_queue"))
     def test_submit_after_shutdown_raises(self, backend):
         ex = make_executor(backend, 2)
         ex.shutdown(wait=True)
@@ -94,7 +93,7 @@ class TestProtocolContract:
 
 
 class TestEngineParity:
-    """The acceptance pin: all four backends == serial reference on a
+    """The acceptance pin: all three backends == serial reference on a
     real staged run (shards + transport + fixed-order merge)."""
 
     @pytest.fixture(scope="class")
@@ -104,7 +103,7 @@ class TestEngineParity:
         return sequences, _contexts(run)
 
     @pytest.mark.parametrize(
-        "backend", ("in_process", "thread", "process_pool", "file_queue")
+        "backend", ("in_process", "process_pool", "file_queue")
     )
     def test_backend_bitwise_identical_to_serial(self, backend, reference):
         sequences, expected = reference
@@ -131,7 +130,10 @@ class TestFileQueueSelfContainment:
     def test_no_spool_leaks_after_shutdown(self):
         before = set(sorted(glob.glob(f"{tempfile.gettempdir()}/{SPOOL_PREFIX}*")))
         ex = FileQueueBackend(max_workers=2)
-        list(ex.map(_square, range(8)))
+        futures = [ex.submit(_square, i) for i in range(8)]
+        assert [f.result(timeout=30) for f in futures] == [
+            i * i for i in range(8)
+        ]
         ex.shutdown(wait=True)
         after = set(sorted(glob.glob(f"{tempfile.gettempdir()}/{SPOOL_PREFIX}*")))
         assert after <= before

@@ -28,7 +28,9 @@ from repro.engine import (
     shard_executor,
     shm_available,
 )
+from repro.engine.runner import STEAL_FACTOR
 from repro.engine.transport import (
+    DISABLE_ENV,
     MIN_SHM_ARRAY_BYTES,
     SEGMENT_PREFIX,
     resolve_payload,
@@ -192,20 +194,20 @@ class TestEngineIntegration:
         info = run.transport
         assert info is not None
         assert info["mode"] in ("shm", "pickle")
-        assert info["dispatches"] == 2
+        # Work-stealing cut: up to workers * STEAL_FACTOR shards.
+        assert info["dispatches"] == min(4, 2 * STEAL_FACTOR)
         assert info["payload_bytes_per_dispatch"] > 0
 
     def test_in_process_run_has_no_transport(self):
         run = SequenceRunner([Probe()]).run([(0, Seq())])
         assert run.transport is None
 
-    def test_forced_pickle_transport_matches_shm(self):
+    def test_forced_pickle_transport_matches_shm(self, monkeypatch):
         sequences = [(i, Seq()) for i in (7, 3, 9, 5)]
         reference = SequenceRunner([Probe()]).run(sequences)
         shm = SequenceRunner([Probe()]).run(sequences, workers=2)
-        pickled = SequenceRunner([Probe()]).run(
-            sequences, workers=2, transport=False
-        )
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        pickled = SequenceRunner([Probe()]).run(sequences, workers=2)
         assert pickled.transport["mode"] == "pickle"
         for run in (shm, pickled):
             assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [

@@ -18,6 +18,8 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec, Session
+from repro.engine import shm_available
+from repro.engine.transport import DISABLE_ENV
 from repro.serve import ClientSensorFactory, ServeScenario, simulate_serving
 
 TINY = {
@@ -95,6 +97,20 @@ def test_replica_partitioning_preserves_results(serving):
     assert sorted(sharded.gaze_log) == sorted(single.gaze_log)
     # Uncontended fleet (no queueing interaction): merged replica
     # telemetry summarizes byte-identically to one scheduler.
+    assert json.dumps(sharded.summary, sort_keys=True) == json.dumps(
+        single.summary, sort_keys=True
+    )
+
+
+def test_replica_pickle_fallback_preserves_telemetry(serving, monkeypatch):
+    # With shared memory disabled the replica bundle ships inline as
+    # pickle (over a per-call pool): telemetry must not move.
+    single = serve(serving)
+    monkeypatch.setenv(DISABLE_ENV, "1")
+    assert not shm_available()
+    sharded = serve(serving, workers=2)
+    assert sharded.workers == 2
+    assert sorted(sharded.gaze_log) == sorted(single.gaze_log)
     assert json.dumps(sharded.summary, sort_keys=True) == json.dumps(
         single.summary, sort_keys=True
     )

@@ -13,6 +13,8 @@
 import numpy as np
 import pytest
 
+from repro.engine import shm_available
+from repro.engine.transport import DISABLE_ENV
 from repro.nn import Adam, CrossEntropyLoss, MSELoss, clip_grad_norm
 from repro.nn.functional import grey_dilation, grey_erosion
 from repro.sampling import ROIPredictor
@@ -263,6 +265,20 @@ class TestShardedTraining:
 
     def test_workers_two_bitwise_identical_to_in_process(self):
         roi_a, vit_a, res_a = self._train(workers=None)
+        roi_b, vit_b, res_b = self._train(workers=2)
+        assert res_a.seg_losses == res_b.seg_losses
+        assert res_a.roi_losses == res_b.roi_losses
+        assert_states_equal(roi_a, roi_b)
+        assert_states_equal(vit_a, vit_b)
+
+    def test_pickle_fallback_bitwise_identical_to_in_process(
+        self, monkeypatch
+    ):
+        # With shared memory disabled every shard payload ships inline
+        # as pickle: the sharded run must still match in-process bits.
+        roi_a, vit_a, res_a = self._train(workers=None)
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        assert not shm_available()
         roi_b, vit_b, res_b = self._train(workers=2)
         assert res_a.seg_losses == res_b.seg_losses
         assert res_a.roi_losses == res_b.roi_losses
