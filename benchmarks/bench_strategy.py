@@ -40,6 +40,7 @@ from _helpers import (
     record_bench,
 )
 from repro.core.variants import evaluate_strategy, make_strategy
+from repro.engine import Execution
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
 
@@ -89,7 +90,9 @@ def _metrics_bytes(evaluation) -> bytes:
     return json.dumps(asdict(evaluation), sort_keys=True).encode()
 
 
-def _time_mode(dataset, segmenter, **kwargs) -> tuple[float, object]:
+def _time_mode(
+    dataset, segmenter, execution: Execution = Execution()
+) -> tuple[float, object]:
     """Best-of-REPEATS wall seconds for one execution mode."""
     best, evaluation = None, None
     for _ in range(REPEATS):
@@ -99,7 +102,7 @@ def _time_mode(dataset, segmenter, **kwargs) -> tuple[float, object]:
         )
         start = time.perf_counter()  # repro: allow[REP102] benchmark timing harness
         result = evaluate_strategy(
-            strategy, segmenter, dataset, EVAL_IDX, rng, **kwargs
+            strategy, segmenter, dataset, EVAL_IDX, rng, execution=execution
         )
         elapsed = time.perf_counter() - start  # repro: allow[REP102] benchmark timing harness
         if best is None or elapsed < best:
@@ -111,8 +114,12 @@ def run_strategy_bench() -> dict:
     dataset = _dataset()
     segmenter = _segmenter()
     per_row_s, per_row = _time_mode(dataset, segmenter)
-    batched_s, batched = _time_mode(dataset, segmenter, batched=True)
-    sharded_s, sharded = _time_mode(dataset, segmenter, workers=WORKERS)
+    batched_s, batched = _time_mode(
+        dataset, segmenter, Execution(batched=True)
+    )
+    sharded_s, sharded = _time_mode(
+        dataset, segmenter, Execution(workers=WORKERS)
+    )
 
     # The speedup only counts if the metrics are byte-identical — a
     # faster sweep that drifts is a broken sweep.

@@ -39,7 +39,7 @@ from repro.api.result import RunResult, git_describe
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.core import BlissCamPipeline, ci, paper
 from repro.engine import TransportChannel
-from repro.engine.executors import make_executor
+from repro.engine.executors import Execution, make_executor
 from repro.obs.tracer import TRACE_FORMAT_VERSION, Tracer, install_tracer
 from repro.store import ArtifactStore, StoreError, canonical_key
 from repro.synth import GazeDynamicsConfig
@@ -243,6 +243,25 @@ class Session:
             self._transport = TransportChannel()
         return self._transport
 
+    def execution(self, spec: ExperimentSpec) -> Execution:
+        """The spec's ``execution`` section as a live :class:`~repro.
+        engine.executors.Execution`: lockstep settings plus, when
+        sharded, the session's backend (:meth:`executor`) and channel
+        (:meth:`transport`).  ``backend: in_process`` or ``workers < 2``
+        give the in-process value — the serial reference path every
+        backend is pinned against."""
+        e = spec.execution
+        in_process = Execution(batched=e.batched, batch_size=e.batch_size)
+        backend = self.executor(e.workers, e.backend)
+        if backend is None:
+            return in_process
+        return replace(
+            in_process,
+            workers=e.workers,
+            backend=backend,
+            channel=self.transport(),
+        )
+
     @property
     def pool_workers(self) -> int:
         """Largest live backend size (0 = no backend yet).  May exceed
@@ -374,23 +393,14 @@ class Session:
             config = system_config(spec)
             pipeline = BlissCamPipeline(config)
             indices = spec.training.train_indices
-            workers = spec.execution.workers
             # Sharded training needs the data-parallel schedule; the
             # stepped schedule always trains in-process (workers only
             # accelerate evaluation there).  Either way the result is
             # independent of the worker count *and* of the backend.
-            executor = self.executor(workers, spec.execution.backend)
-            if config.joint.grad_accum and executor is not None:
-                shard_kwargs = {
-                    "workers": workers,
-                    "executor": executor,
-                    "transport": self.transport(),
-                }
-            else:
-                shard_kwargs = {}
+            execution = self.execution(spec)
             pipeline.train(
                 list(indices) if indices is not None else None,
-                **shard_kwargs,
+                execution if config.joint.grad_accum else Execution(),
             )
             return pipeline
 

@@ -42,10 +42,13 @@ __all__ = [
 
 #: Dataset size presets; both flow through identical code paths.
 DATASET_PRESETS = ("ci", "paper")
-#: Sequence count each preset defaults to (mirrors ``repro.core.config``
-#: ``ci()``/``paper()``; used to range-check indices at validate time
-#: without importing core).
-PRESET_NUM_SEQUENCES = {"ci": 4, "paper": 32}
+#: ``(sequences, frames per sequence)`` each preset defaults to (mirrors
+#: ``repro.core.config`` ``ci()``/``paper()``; used to range-check the
+#: training split and indices at validate time without importing core).
+PRESET_GEOMETRY = {"ci": (4, 10), "paper": (32, 60)}
+#: Workloads that train the end-to-end tracker (and so fit its gaze
+#: regression on the training split).
+TRACKER_WORKLOADS = ("evaluate", "serve", "throughput")
 #: Oculomotor-statistics presets.
 DYNAMICS_PRESETS = ("default", "lively")
 #: Client arrival processes of the ``serve`` workload.
@@ -456,12 +459,23 @@ class ExperimentSpec:
             _require("training.epochs", t.epochs >= 1, ">= 1")
         if t.batch_size is not None:
             _require("training.batch_size", t.batch_size >= 1, ">= 1")
-        num_sequences = (
-            d.num_sequences
-            if d.num_sequences is not None
-            else PRESET_NUM_SEQUENCES[d.preset]
-        )
+        preset_sequences, preset_frames = PRESET_GEOMETRY[d.preset]
+        num_sequences = d.num_sequences or preset_sequences
         _indices_ok("training.train_indices", t.train_indices, num_sequences)
+        if self.workload in TRACKER_WORKLOADS:
+            from repro.gaze.estimation import MIN_FIT_FRAMES
+            from repro.synth.dataset import split_indices
+
+            train_split = t.train_indices or split_indices(num_sequences)[0]
+            train_frames = len(train_split) * (
+                d.frames_per_sequence or preset_frames
+            )
+            _require(
+                "training.train_indices",
+                train_frames >= MIN_FIT_FRAMES,
+                f"a split of >= {MIN_FIT_FRAMES} frames in total (the gaze "
+                f"fit's floor), got {train_frames}",
+            )
         e = self.execution
         _require("execution.workers", e.workers >= 1, ">= 1")
         # The backend registry lives in the engine layer; imported here

@@ -52,19 +52,6 @@ def _split_indices(spec: ExperimentSpec, dataset):
     return train_idx, eval_idx
 
 
-def _sharding(session: Session, spec: ExperimentSpec):
-    """(workers, executor, transport) for the engine: the session's
-    executor backend (``execution.backend``) and its shared-memory
-    transport channel when sharded.  ``backend: in_process`` (or
-    ``workers < 2``) returns the all-``None`` triple — the serial
-    reference path every backend is pinned against."""
-    workers = spec.execution.workers
-    executor = session.executor(workers, spec.execution.backend)
-    if executor is None:
-        return None, None, None
-    return workers, executor, session.transport()
-
-
 def strategy_rng(base_seed: int, name: str) -> np.random.Generator:
     """The per-strategy RNG stream of the ``strategy_sweep`` workload.
 
@@ -80,17 +67,12 @@ def strategy_rng(base_seed: int, name: str) -> np.random.Generator:
 def run_evaluate(session: Session, spec: ExperimentSpec) -> RunResult:
     """Train (memoized) + evaluate the end-to-end tracker."""
     pipeline = session.pipeline(spec)
-    workers, executor, transport = _sharding(session, spec)
-    e = spec.execution
+    eval_indices = spec.execution.eval_indices
     result = pipeline.evaluate(
-        list(e.eval_indices) if e.eval_indices is not None else None,
+        list(eval_indices) if eval_indices is not None else None,
         reuse_window=spec.sensor.reuse_window,
         sensor_seed=spec.sensor.sensor_seed,
-        batched=e.batched,
-        batch_size=e.batch_size,
-        workers=workers,
-        executor=executor,
-        transport=transport,
+        execution=session.execution(spec),
     )
     metrics = {
         "frames": result.horizontal.count,
@@ -221,17 +203,17 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
         ("dataset", spec.section_hash("dataset")), _dataset, training=False
     )
     train_idx, eval_idx = _split_indices(spec, dataset)
-    workers, executor, transport = _sharding(session, spec)
+    execution = session.execution(spec)
 
     # Fan uncached strategies out across the pool; each worker returns
     # its trained triple plus the evaluation it already ran in-place.
     evaluations: dict[str, object] = {}
-    if executor is not None:
+    if execution.backend is not None:
         missing = [
             n for n in names if not session.cached(_sweep_key(spec, train_idx, n))
         ]
         futures = {
-            n: executor.submit(
+            n: execution.backend.submit(
                 _sweep_strategy_job,
                 config,
                 n,
@@ -282,11 +264,7 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
                 # generator stays pristine, so a cache-hit re-run
                 # replays bitwise.
                 copy.deepcopy(rng),
-                batched=spec.execution.batched,
-                batch_size=spec.execution.batch_size,
-                workers=workers,
-                executor=executor,
-                transport=transport,
+                execution=execution,
                 use_gt_roi=st.use_gt_roi,
             )
         per_strategy[name] = {
@@ -330,16 +308,13 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
         reuse_window=spec.sensor.reuse_window,
         sensor_seed=spec.sensor.sensor_seed,
     )
-    workers, executor, transport = _sharding(session, spec)
     scenario = spec.execution.serve
     run = simulate_serving(
         graph=graph,
         state_factory=ClientSensorFactory(template, spec.sensor.sensor_seed),
         dataset_cfg=pipeline.config.dataset,
         scenario=scenario,
-        workers=workers,
-        executor=executor,
-        transport=transport,
+        execution=session.execution(spec),
     )
     telemetry = run.summary
     frames = telemetry["frames"]
@@ -394,15 +369,12 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
 def run_throughput(session: Session, spec: ExperimentSpec) -> RunResult:
     """Engine frames/sec: sequential vs batched vs sharded modes."""
     pipeline = session.pipeline(spec)
-    workers, executor, transport = _sharding(session, spec)
     _, eval_idx = _split_indices(spec, pipeline.dataset)
     record = measure_throughput(
         pipeline,
         eval_idx,
         repeats=spec.execution.repeats,
-        workers=workers,
-        executor=executor,
-        transport=transport,
+        execution=session.execution(spec),
     )
     return RunResult(
         workload="throughput",

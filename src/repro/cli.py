@@ -289,15 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = _SPEC_BUILDERS[args.command](args)
         workers = getattr(args, "workers", None)
+        if workers == 0 and args.command != "run":
+            workers = None  # serve/throughput: 0 means one process
         backend = getattr(args, "backend", None)
-        if workers or backend:  # None or 0 keep the spec's value
+        if workers is not None or backend:
             # Re-validate: the override must fail here (exit 2), not as
             # a traceback out of Session.run.
-            spec = (
-                spec.with_workers(workers or None)
-                .with_backend(backend)
-                .validate()
-            )
+            spec = spec.with_workers(workers).with_backend(backend).validate()
         trace = getattr(args, "trace", None)
         if trace is not None:  # --trace or --trace PATH
             spec = spec.with_trace(

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine import EngineRun, StageTiming, build_tracking_graph, tracking_runner
+from repro.engine import (
+    EngineRun,
+    Execution,
+    StageTiming,
+    build_tracking_graph,
+    tracking_runner,
+)
 from repro.gaze.estimation import FittedGazeEstimator
 from repro.gaze.metrics import AngularErrorStats, angular_errors
 from repro.hardware.energy import WorkloadProfile
@@ -194,9 +200,7 @@ class BlissCamPipeline:
     def train(
         self,
         train_indices: list[int] | None = None,
-        workers: int | None = None,
-        executor=None,
-        transport=None,
+        execution: Execution = Execution(),
     ) -> JointTrainResult:
         """Joint training (Sec. III-C) + gaze calibration.
 
@@ -204,11 +208,9 @@ class BlissCamPipeline:
         (:class:`~repro.training.runtime.TrainRunner`):
         ``config.joint.batch_size`` sets the rank width / step
         granularity and ``config.joint.grad_accum`` selects the
-        data-parallel epoch schedule, which ``workers >= 2`` shards over
-        worker processes (``executor`` and ``transport`` borrow a backend
-        and shared-memory channel, e.g. a ``repro.api.Session``'s,
-        instead of opening them per call) with bitwise-identical results
-        for any worker count.
+        data-parallel epoch schedule, which ``execution`` may shard (see
+        :meth:`~repro.training.runtime.TrainRunner.run`) with
+        bitwise-identical results for any worker count.
         """
         if train_indices is None:
             train_indices, _ = self.dataset.split()
@@ -216,11 +218,7 @@ class BlissCamPipeline:
             self.roi_predictor, self.segmenter, self.config.joint, self.rng
         )
         self._train_result = trainer.train(
-            self.dataset,
-            train_indices,
-            workers=workers,
-            executor=executor,
-            transport=transport,
+            self.dataset, train_indices, execution
         )
         # Calibrate the gaze regression on ground-truth maps (per-user
         # calibration in a real system).
@@ -313,23 +311,15 @@ class BlissCamPipeline:
         eval_indices: list[int] | None = None,
         reuse_window: int = 1,
         sensor_seed: int = 1234,
-        batched: bool = False,
-        batch_size: int | None = None,
-        workers: int | None = None,
-        executor=None,
-        transport=None,
+        execution: Execution = Execution(),
     ) -> EvaluationResult:
         """Run the functional sensor + host over held-out sequences.
 
         ``reuse_window`` > 1 enables the Table-I ROI-reuse policy (a
-        first-class engine stage).  ``batched`` runs the sequences in
-        vectorized lockstep; ``batch_size`` bounds the lockstep width.
-        ``workers >= 2`` shards the sequence rank over that many worker
-        processes (composable with ``batched``); ``executor`` and
-        ``transport`` borrow a backend and shared-memory channel (e.g. a
-        persistent ``repro.api.Session``'s) instead of opening them per
-        call.  All modes produce
-        bitwise-identical results; see ``docs/architecture.md``.
+        first-class engine stage).  ``execution`` picks lockstep and
+        sharding (see :class:`~repro.engine.executors.Execution`); all
+        modes produce bitwise-identical results, see
+        ``docs/architecture.md``.
         """
         if eval_indices is None:
             _, eval_indices = self.dataset.split()
@@ -340,17 +330,12 @@ class BlissCamPipeline:
             sensor_template=template,
             sensor_seed=sensor_seed,
             graph=graph,
-            batch_size=batch_size,
             # The collector below only needs gaze + stats per frame; drop
             # the O(frame size) intermediates as the run streams.
             retain_intermediates=False,
         )
         run = runner.run(
-            [(i, self.dataset[i]) for i in eval_indices],
-            batched=batched,
-            workers=workers,
-            executor=executor,
-            transport=transport,
+            [(i, self.dataset[i]) for i in eval_indices], execution
         )
         return self._collect_evaluation(run)
 

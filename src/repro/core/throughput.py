@@ -9,11 +9,13 @@ drift apart.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.pipeline import BlissCamPipeline, EvaluationResult
 from repro.core.results import Table
+from repro.engine.executors import Execution
 
 __all__ = ["measure_throughput", "throughput_tables"]
 
@@ -36,6 +38,10 @@ def _best_of(evaluate, repeats: int) -> tuple[float, EvaluationResult]:
     return best_s, best_result
 
 
+def _stage_seconds(result: EvaluationResult) -> dict[str, float]:
+    return {name: t.seconds for name, t in result.stage_timings.items()}
+
+
 def _same_results(a: EvaluationResult, b: EvaluationResult) -> bool:
     return bool(
         np.array_equal(a.predictions, b.predictions)
@@ -47,9 +53,7 @@ def measure_throughput(
     pipeline: BlissCamPipeline,
     eval_indices: list[int],
     repeats: int = 3,
-    workers: int | None = None,
-    executor=None,
-    transport=None,
+    execution: Execution = Execution(),
 ) -> dict:
     """Time the engine modes over ``eval_indices`` on a trained pipeline.
 
@@ -60,14 +64,13 @@ def measure_throughput(
     allocator/scheduler noise a loaded machine adds on top — and the
     result reported for a mode is the one produced by its best repeat.
 
-    ``workers >= 2`` additionally times the sharded mode — the
-    *production* sharded configuration: batched kernels inside each
-    worker process (``sharded_kernels`` records this) over ``executor``
-    and the shared-memory ``transport`` channel (e.g.
-    ``repro.api.Session``'s; a per-call pool and channel when ``None``)
-    — and cross-checks it bitwise against the in-process runs.  The
-    record's ``transport.channel`` block reports what each dispatch
-    shipped.
+    The sequential and batched modes run ``execution``'s lockstep
+    width in-process.  ``execution.workers >= 2`` additionally times the
+    sharded mode — the *production* sharded configuration: batched
+    kernels inside each worker process (``sharded_kernels`` records
+    this) over ``execution``'s backend and channel — and cross-checks it
+    bitwise against the in-process runs.  The record's
+    ``transport.channel`` block reports what each dispatch shipped.
     """
     if not eval_indices:
         raise ValueError(
@@ -77,14 +80,18 @@ def measure_throughput(
     for i in eval_indices:
         pipeline.dataset[i]
     warm = eval_indices[: min(2, len(eval_indices))]
-    pipeline.evaluate(warm)
-    pipeline.evaluate(warm, batched=True)
+    sequential = replace(
+        execution, batched=False, workers=1, backend=None, channel=None
+    )
+    lockstep = replace(sequential, batched=True)
+    pipeline.evaluate(warm, execution=sequential)
+    pipeline.evaluate(warm, execution=lockstep)
 
     seq_s, seq_result = _best_of(
-        lambda: pipeline.evaluate(eval_indices), repeats
+        lambda: pipeline.evaluate(eval_indices, execution=sequential), repeats
     )
     bat_s, bat_result = _best_of(
-        lambda: pipeline.evaluate(eval_indices, batched=True), repeats
+        lambda: pipeline.evaluate(eval_indices, execution=lockstep), repeats
     )
     frames = int(seq_result.horizontal.count)
     identical = _same_results(seq_result, bat_result)
@@ -96,67 +103,40 @@ def measure_throughput(
         "sequential_fps": _rate(frames, seq_s),
         "batched_fps": _rate(frames, bat_s),
         "speedup": seq_s / bat_s if bat_s > 0 else float("inf"),
-        "stage_seconds_sequential": {
-            name: timing.seconds
-            for name, timing in seq_result.stage_timings.items()
-        },
-        "stage_seconds_batched": {
-            name: timing.seconds
-            for name, timing in bat_result.stage_timings.items()
-        },
+        "stage_seconds_sequential": _stage_seconds(seq_result),
+        "stage_seconds_batched": _stage_seconds(bat_result),
     }
-    if workers is not None and workers >= 2:
+    if execution.workers >= 2:
         # The production sharded configuration: batched kernels inside
         # each worker (vectorized lockstep within a shard, shards over
         # processes).  Sharding sequential kernels would measure pure
         # dispatch overhead on single-core hosts instead of the mode
         # anything actually runs.
-        def sharded(indices):
-            return pipeline.evaluate(
-                indices, batched=True, workers=workers, executor=executor,
-                transport=transport,
-            )
-
+        sharded = replace(execution, batched=True)
         # Warm the pool's workers once so the timed section compares
         # steady-state dispatch, not the first fork (the cost a
         # persistent pool exists to amortize across run() calls).
-        sharded(warm)
+        pipeline.evaluate(warm, execution=sharded)
         shard_s, shard_result = _best_of(
-            lambda: sharded(eval_indices), repeats
+            lambda: pipeline.evaluate(eval_indices, execution=sharded), repeats
         )
         identical = identical and _same_results(seq_result, shard_result)
         record.update(
             {
                 # The runner clamps to the sequence count; record what
                 # actually executed, not what was requested.
-                "workers": min(workers, len(eval_indices)),
+                "workers": min(execution.workers, len(eval_indices)),
                 "sharded_kernels": "batched",
                 "sharded_s": shard_s,
                 "sharded_fps": _rate(frames, shard_s),
                 "sharded_speedup": (
                     seq_s / shard_s if shard_s > 0 else float("inf")
                 ),
-                "stage_seconds_sharded": {
-                    name: timing.seconds
-                    for name, timing in shard_result.stage_timings.items()
-                },
+                "stage_seconds_sharded": _stage_seconds(shard_result),
             }
         )
         if shard_result.transport is not None:
-            record["transport"] = {
-                "channel": {
-                    key: shard_result.transport[key]
-                    for key in (
-                        "mode",
-                        "dispatches",
-                        "payload_bytes",
-                        "payload_bytes_per_dispatch",
-                        "segment_bytes_written",
-                        "segments_created",
-                        "publish_reuses",
-                    )
-                }
-            }
+            record["transport"] = {"channel": shard_result.transport}
     record["bitwise_identical"] = identical
     return record
 

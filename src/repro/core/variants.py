@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import Execution, build_strategy_graph, strategy_runner
 from repro.gaze.estimation import FittedGazeEstimator
 from repro.gaze.metrics import AngularErrorStats, angular_errors
 from repro.sampling.eventification import eventify
@@ -144,11 +145,7 @@ def evaluate_strategy(
     eval_indices: list[int],
     rng: np.random.Generator,
     gaze_estimator: FittedGazeEstimator | None = None,
-    batched: bool = False,
-    batch_size: int | None = None,
-    workers: int | None = None,
-    executor=None,
-    transport=None,
+    execution: Execution = Execution(),
     use_gt_roi: bool = True,
 ) -> StrategyEvaluation:
     """Measure gaze error when the host sees ``strategy``-sampled frames.
@@ -160,14 +157,10 @@ def evaluate_strategy(
     strategy sampling -> segment-or-reuse -> gaze regression, the same
     runner the end-to-end tracker uses.  Each sequence samples from its
     own ``strategy.spawn`` stream keyed by sequence index (derived from
-    ``rng``), so all three execution modes — sequential, ``batched``
-    lockstep, and sharded (``workers >= 2``, over ``executor`` and
-    ``transport`` when passed, else a per-call pool and channel; see
-    :meth:`repro.engine.SequenceRunner.run`) — produce bitwise-identical
-    results; Fig. 15 sweeps can fan out freely.
+    ``rng``), so every ``execution`` (see :class:`~repro.engine.
+    executors.Execution`) produces bitwise-identical results; Fig. 15
+    sweeps can fan out freely.
     """
-    from repro.engine import build_strategy_graph, strategy_runner
-
     if gaze_estimator is None:
         gaze_estimator = FittedGazeEstimator()
         segs = np.concatenate([dataset[i].segmentations for i in eval_indices])
@@ -184,16 +177,8 @@ def evaluate_strategy(
     # The collector below only needs gaze + stats scalars; drop the
     # O(frame size) intermediates as the run streams (and keep sharded
     # worker->parent transfers scalar-sized).
-    runner = strategy_runner(
-        graph, batch_size=batch_size, retain_intermediates=False
-    )
-    run = runner.run(
-        [(i, dataset[i]) for i in eval_indices],
-        batched=batched,
-        workers=workers,
-        executor=executor,
-        transport=transport,
-    )
+    runner = strategy_runner(graph, retain_intermediates=False)
+    run = runner.run([(i, dataset[i]) for i in eval_indices], execution)
 
     preds, truths, compressions = [], [], []
     for ctx in run.evaluated:

@@ -27,15 +27,16 @@ from repro.engine.runner import (
     SequenceRunner,
     StageTiming,
     contiguous_shards,
-    shard_executor,
 )
 from repro.engine.executors import (
     EXECUTOR_BACKENDS,
+    Execution,
     ExecutorBackend,
     FileQueueBackend,
     InProcessExecutor,
     ProcessPoolBackend,
     make_executor,
+    shard_executor,
     sharding,
 )
 from repro.engine.stage import Stage, StageGraph
@@ -77,6 +78,7 @@ __all__ = [
     "FileQueueBackend",
     "EXECUTOR_BACKENDS",
     "make_executor",
+    "Execution",
     "sharding",
     "TransportChannel",
     "TransportError",

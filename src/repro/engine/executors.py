@@ -13,7 +13,7 @@ interchangeable backends:
   processes, exactly the semantics every other backend is pinned
   bitwise against.
 * :class:`ProcessPoolBackend` — the production backend: a
-  :func:`~repro.engine.runner.shard_executor` process pool (fork
+  :func:`shard_executor` process pool (fork
   context), composed with the shared-memory transport channel by
   :func:`sharding`.
 * :class:`FileQueueBackend` — jobs round-trip through *spooled files*:
@@ -26,9 +26,12 @@ interchangeable backends:
   backend (SLURM/SGE submit scripts, a distributed queue) plugs into
   later.
 
-:func:`sharding` is the one place a sharded job's dispatch resources
-are decided: the caller's backend and channel when it passes them, a
-fresh process pool and transport channel (closed on exit) when not.
+:class:`Execution` is the one value that says how a run executes
+(lockstep width, worker count, borrowed backend and channel), and
+:func:`sharding` the one place a dispatch's resources are decided from
+it: the clamped worker count, the execution's backend and channel when
+it carries them, a fresh process pool and transport channel (closed on
+exit) when not.
 
 Determinism: all backends execute the same module-level job functions
 on the same payloads and results are consumed in submission order, so
@@ -45,14 +48,16 @@ historical process pool had.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import shutil
 import tempfile
 import time
 import traceback
-from concurrent.futures import Future
-from contextlib import contextmanager, nullcontext
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager, nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
@@ -67,6 +72,8 @@ __all__ = [
     "FileQueueJobError",
     "EXECUTOR_BACKENDS",
     "make_executor",
+    "shard_executor",
+    "Execution",
     "sharding",
     "SPOOL_PREFIX",
 ]
@@ -170,20 +177,39 @@ class InProcessExecutor:
 
 
 # -- pool-wrapping backends ----------------------------------------------------
+def _pool_context():
+    """Prefer fork (inherits the warm interpreter; cheap at CI scale)."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-posix platforms
+        return multiprocessing.get_context()
+
+
+def shard_executor(max_workers: int) -> ProcessPoolExecutor:
+    """A process pool suitable for sharded runs.
+
+    The one place a process pool is built: :class:`ProcessPoolBackend`
+    wraps it, both for the pools ``repro.api``'s ``Session`` keeps
+    across runs and for the per-dispatch pool :func:`sharding` opens
+    when an :class:`Execution` carries no backend.
+    """
+    return ProcessPoolExecutor(
+        max_workers=max_workers, mp_context=_pool_context()
+    )
+
+
 class ProcessPoolBackend:
     """The production backend: a fork-context process pool.
 
-    Wraps :func:`repro.engine.runner.shard_executor` (the canonical
-    pool constructor) behind the protocol; callers that own a
-    :class:`~repro.engine.transport.TransportChannel` compose it with
-    this backend so shard payloads cross as shared-memory handles.
+    Wraps :func:`shard_executor` (the canonical pool constructor)
+    behind the protocol; :func:`sharding` composes it with a
+    :class:`~repro.engine.transport.TransportChannel` so shard payloads
+    cross as shared-memory handles.
     """
 
     name = "process_pool"
 
     def __init__(self, max_workers: int):
-        from repro.engine.runner import shard_executor
-
         self.max_workers = int(max_workers)
         self._seq = 0
         self._pool = shard_executor(self.max_workers)
@@ -354,12 +380,7 @@ class FileQueueBackend:
     def _ensure_workers(self) -> None:
         if self._procs:
             return
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-posix platforms
-            ctx = multiprocessing.get_context()
+        ctx = _pool_context()
         for _ in range(self.max_workers):
             proc = ctx.Process(
                 target=_file_queue_worker,
@@ -457,36 +478,68 @@ def make_executor(backend: str, max_workers: int):
     return cls(max_workers)
 
 
-@contextmanager
-def sharding(
-    workers: int,
-    executor=None,
-    transport: TransportChannel | None = None,
-) -> Iterator[tuple[Any, TransportChannel]]:
-    """Yield ``(backend, channel)`` for one sharded dispatch.
+@dataclass(frozen=True)
+class Execution:
+    """How one run executes: the only way execution settings reach the
+    engine, training and serve fronts.
 
-    The caller's ``executor`` and ``transport`` are borrowed as given
-    (e.g. a ``Session``'s persistent backend and channel, whose
-    published segments outlive this dispatch).  When either is
-    ``None``, a ``process_pool`` backend of ``workers`` processes or a
-    fresh :class:`~repro.engine.transport.TransportChannel` is opened
-    here and closed on exit (backend first, so no worker outlives the
-    segments it reads); nothing the caller passed is closed.  The
-    pool forks on its first ``submit``, so payloads published inside
-    the block before that are inherited by the workers.
+    ``batched`` runs sequences in vectorized lockstep, at most
+    ``batch_size`` wide (``None``: the whole rank).  ``workers >= 2``
+    shards the work over that many worker processes, dispatched through
+    ``backend`` with payloads published on ``channel``; either left
+    ``None`` is opened for the dispatch and closed after it (see
+    :func:`sharding`), a given one is borrowed (e.g. a ``Session``'s, so
+    repeated runs reuse one pool and ship each payload once).  Every
+    setting is bitwise-neutral: only speed changes.
+
+    The value holds live resources, so it never crosses a process
+    boundary; worker entry points get plain flags instead.
     """
-    channel = transport if transport is not None else TransportChannel()
-    try:
-        backend = (
-            executor
-            if executor is not None
-            else make_executor("process_pool", workers)
+
+    batched: bool = False
+    batch_size: int | None = None
+    workers: int = 1
+    backend: ExecutorBackend | None = None
+    channel: TransportChannel | None = None
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1: {self.workers}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1: {self.batch_size}")
+        if self.workers < 2 and (
+            self.backend is not None or self.channel is not None
+        ):
+            raise ValueError(
+                "executor was injected but workers < 2 would run in-process "
+                "and silently ignore it; pass workers >= 2 to shard"
+            )
+
+
+@contextmanager
+def sharding(execution: Execution, n_items: int) -> Iterator[Execution]:
+    """Yield the :class:`Execution` one dispatch over ``n_items`` runs.
+
+    The one place the worker count is clamped to the item count.  Below
+    two the yielded value is in-process (``workers=1``, no backend).
+    Otherwise it carries the clamped count and a backend and channel:
+    the execution's own, borrowed, or a ``process_pool`` backend and a
+    fresh :class:`~repro.engine.transport.TransportChannel` opened here
+    and closed on exit, backend first.  The pool forks on its first
+    ``submit``, so payloads published before that are inherited.
+    """
+    workers = min(execution.workers, n_items)
+    if workers < 2:
+        yield replace(execution, workers=1, backend=None, channel=None)
+        return
+    with ExitStack() as opened:  # unwinds backend first, then channel
+        channel = execution.channel
+        if channel is None:
+            channel = opened.enter_context(TransportChannel())
+        backend = execution.backend
+        if backend is None:
+            backend = make_executor("process_pool", workers)
+            opened.callback(backend.shutdown, wait=True)
+        yield replace(
+            execution, workers=workers, backend=backend, channel=channel
         )
-        try:
-            yield backend, channel
-        finally:
-            if executor is None:
-                backend.shutdown(wait=True)
-    finally:
-        if transport is None:
-            channel.close()

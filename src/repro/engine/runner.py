@@ -1,28 +1,23 @@
 """The sequence runner: executes a stage graph over batches of sequences.
 
-Three execution modes share one stage graph and one set of numeric
-kernels:
+Three execution modes, picked by an :class:`~repro.engine.executors.
+Execution`, share one stage graph and one set of numeric kernels:
 
 * **sequential** — the reference mode: sequences one after another, frames
-  in order, each stage's ``process`` per frame.  This is the staged
-  transcription of the original monolithic evaluation loops.
-* **batched** — runs up to ``batch_size`` sequences in *lockstep*: at each
+  in order, each stage's ``process`` per frame.
+* **batched** — up to ``batch_size`` sequences in *lockstep*: at each
   timestep every live sequence contributes one frame and each stage's
-  ``process_batch`` handles the whole rank at once (vectorized
-  eventification, grouped packed ViT inference, vectorized RLE
-  accounting).  Because every sequence owns its own sensor spawn (and all
-  cross-frame state lives in its ``SequenceState``), the two modes draw
-  identical random streams and produce bitwise-identical contexts — the
-  engine test suite asserts this end-to-end.
-* **sharded** — ``workers >= 2`` partitions the sequence rank into
-  contiguous shards and executes each shard in a worker *process* using
-  the sequential or batched kernels above.  Sequences share no mutable
-  state (per-sequence random streams are keyed by sequence index, never
-  by execution order), so a shard's results do not depend on which
-  process runs it: merged ``EngineRun``s are bitwise-identical to the
-  single-process modes.  Requires the graph, the state factory and the
-  sequences to be picklable — the canonical graphs keep their callables
-  as plain classes for exactly this reason.
+  ``process_batch`` handles the whole rank at once.
+* **sharded** — ``workers >= 2`` cuts the sequence rank into contiguous
+  shards, each run in a worker *process* with the sequential or batched
+  kernels.  Requires the graph, the state factory and the sequences to
+  be picklable — the canonical graphs keep their callables as plain
+  classes for exactly this reason.
+
+Every sequence owns its sensor spawn and keeps all cross-frame state in
+its ``SequenceState`` (random streams are keyed by sequence index, never
+by execution order or process), so all modes produce bitwise-identical
+contexts — the engine test suite asserts this end-to-end.
 
 Results come back as an :class:`EngineRun`: the completed frame contexts
 in *sequence-major* order (identical ordering in all modes, so
@@ -32,25 +27,22 @@ per-stage wall-clock timings for throughput/attribution reporting.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.engine.context import FrameContext, SequenceState
-from repro.engine.executors import sharding
+from repro.engine.executors import Execution, sharding
 from repro.engine.stage import StageGraph
-from repro.engine.transport import ObjectHandle, TransportChannel, resolve_payload
+from repro.engine.transport import ObjectHandle, resolve_payload
 from repro.obs.tracer import current_tracer
 
 __all__ = [
     "SequenceRunner",
     "EngineRun",
     "StageTiming",
-    "shard_executor",
     "contiguous_shards",
 ]
 
@@ -109,6 +101,7 @@ def _execute_shard(
     runner_handle: ObjectHandle,
     shard_handle: ObjectHandle,
     batched: bool,
+    batch_size: int | None,
 ) -> tuple[list[FrameContext], dict[str, StageTiming]]:
     """Worker-side entry point: resolve handles, then run one shard.
 
@@ -119,24 +112,18 @@ def _execute_shard(
     re-deserializing.  Stages keep all cross-frame state in
     ``SequenceState`` (never on themselves), so executing a cached
     runner object repeatedly is exactly as stateless as unpickling a
-    fresh copy per task — the sharded parity suites pin this.
+    fresh copy per task — the sharded parity suites pin this.  The
+    lockstep width arrives as a plain int: an :class:`~repro.engine.
+    executors.Execution` holds live resources and stays in the parent.
     """
     runner = resolve_payload(runner_handle)
     shard = resolve_payload(shard_handle)
     timings = {name: StageTiming() for name in runner.graph.stage_names}
     if batched:
-        contexts = runner._run_batched(shard, timings)
+        contexts = runner._run_batched(shard, timings, batch_size)
     else:
         contexts = runner._run_sequential(shard, timings)
     return contexts, timings
-
-
-def _pool_context():
-    """Prefer fork (inherits the warm interpreter; cheap at CI scale)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix platforms
-        return multiprocessing.get_context()
 
 
 def contiguous_shards(items: list, n_shards: int) -> list[list]:
@@ -157,20 +144,6 @@ def contiguous_shards(items: list, n_shards: int) -> list[list]:
     ]
 
 
-def shard_executor(max_workers: int) -> ProcessPoolExecutor:
-    """A process pool suitable for sharded runs.
-
-    The one place a process pool is built: :class:`~repro.engine.
-    executors.ProcessPoolBackend` wraps it, both for the pools
-    ``repro.api``'s :class:`Session` keeps across runs and for the
-    per-call pool :func:`~repro.engine.executors.sharding` opens when a
-    run gets no executor.
-    """
-    return ProcessPoolExecutor(
-        max_workers=max_workers, mp_context=_pool_context()
-    )
-
-
 class SequenceRunner:
     """Execute a :class:`StageGraph` over sequences of frames.
 
@@ -181,23 +154,16 @@ class SequenceRunner:
     state_factory:
         ``seq_index -> SequenceState``; builds the per-sequence state
         (e.g. spawning a per-sequence sensor from a calibrated template).
-    batch_size:
-        Lockstep width in batched mode; ``None`` runs all sequences in
-        one rank.
     """
 
     def __init__(
         self,
         graph: StageGraph | Sequence,
         state_factory: Callable[[int], SequenceState] | None = None,
-        batch_size: int | None = None,
         retain_intermediates: bool = True,
     ):
         self.graph = graph if isinstance(graph, StageGraph) else StageGraph(graph)
         self.state_factory = state_factory or _default_state_factory
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1: {batch_size}")
-        self.batch_size = batch_size
         #: When False, each context's bulky per-frame products (event map,
         #: masks, sparse frame, seg map, readout) are dropped as soon as
         #: the last stage has consumed them, so run memory stays O(frames
@@ -236,56 +202,34 @@ class SequenceRunner:
     def run(
         self,
         sequences: Sequence[tuple[int, Any]],
-        batched: bool = False,
-        workers: int | None = None,
-        executor=None,
-        transport: TransportChannel | None = None,
+        execution: Execution = Execution(),
     ) -> EngineRun:
         """Run the graph over ``[(seq_index, sequence), ...]``.
 
-        ``workers >= 2`` shards the sequence rank across that many worker
-        processes; each shard runs the sequential or batched kernels
-        (per ``batched``) and the merged result is bitwise-identical to
-        the single-process modes.  ``None``/``1`` runs in-process.
-
-        Shards reach the workers through
-        :func:`~repro.engine.executors.sharding`: ``executor`` is an
-        :class:`~repro.engine.executors.ExecutorBackend` (e.g. the
-        persistent one ``repro.api.Session`` owns) and ``transport`` a
-        :class:`~repro.engine.transport.TransportChannel` whose
-        segments outlive this run, so repeated runs ship each payload's
-        bytes once.  Either left ``None`` is opened for this run and
-        closed on return.  The rank is cut into ``workers *
-        STEAL_FACTOR`` contiguous shards so idle workers steal pending
-        shards when sequence lengths are unequal; shard boundaries never
-        affect results, only scheduling.  The channel ships the runner
-        and the sequences as content-addressed shared-memory handles
-        (plain pickle where shared memory is unavailable or disabled
-        with ``REPRO_DISABLE_SHM=1``).
-
-        Both transport modes are bitwise-identical; the run's
+        ``execution`` (see :class:`~repro.engine.executors.Execution`)
+        picks the kernels and the processes; the merged result is
+        bitwise-identical in every mode.  A sharded run cuts the rank
+        into ``workers * STEAL_FACTOR`` contiguous shards so idle
+        workers steal pending shards when sequence lengths are unequal;
+        shard boundaries never affect results, only scheduling.  The
+        channel ships the runner and the sequences as content-addressed
+        shared-memory handles (plain pickle where shared memory is
+        unavailable or disabled with ``REPRO_DISABLE_SHM=1``); the run's
         :attr:`EngineRun.transport` records what actually moved.
         """
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
-        if executor is not None and (workers or 1) < 2:
-            raise ValueError(
-                "executor was injected but workers < 2 would run in-process "
-                "and silently ignore it; pass workers >= 2 to shard"
-            )
         sequences = list(sequences)
-        n_workers = min(workers or 1, len(sequences))
+        timings = {name: StageTiming() for name in self.graph.stage_names}
         start = time.perf_counter()  # repro: allow[REP102] run wall-time metric
         transport_info = None
-        if n_workers >= 2:
-            contexts, timings, transport_info = self._run_sharded(
-                sequences, batched, n_workers, executor, transport
-            )
-        else:
-            n_workers = 1
-            timings = {name: StageTiming() for name in self.graph.stage_names}
-            if batched:
-                contexts = self._run_batched(sequences, timings)
+        with sharding(execution, len(sequences)) as live:
+            if live.backend is not None:
+                contexts, transport_info = self._run_sharded(
+                    sequences, timings, live
+                )
+            elif live.batched:
+                contexts = self._run_batched(
+                    sequences, timings, live.batch_size
+                )
             else:
                 contexts = self._run_sequential(sequences, timings)
         wall = time.perf_counter() - start  # repro: allow[REP102] run wall-time metric
@@ -300,8 +244,8 @@ class SequenceRunner:
                 wall_dur=wall,
                 sequences=len(sequences),
                 frames=len(contexts),
-                batched=batched,
-                workers=n_workers,
+                batched=live.batched,
+                workers=live.workers,
             )
             for name, timing in timings.items():
                 tracer.point(
@@ -318,64 +262,63 @@ class SequenceRunner:
             contexts=contexts,
             stage_timings=timings,
             wall_seconds=wall,
-            batched=batched,
-            workers=n_workers,
+            batched=live.batched,
+            workers=live.workers,
             transport=transport_info,
         )
 
     def _run_sharded(
         self,
         sequences: list[tuple[int, Any]],
-        batched: bool,
-        workers: int,
-        executor=None,
-        transport: TransportChannel | None = None,
-    ) -> tuple[list[FrameContext], dict[str, StageTiming], dict]:
+        timings: dict[str, StageTiming],
+        live: Execution,
+    ) -> tuple[list[FrameContext], dict]:
         # Contiguous balanced shards: concatenating shard outputs in shard
         # order reproduces the sequence-major ordering of the in-process
         # modes exactly.
         shards = contiguous_shards(
-            sequences, min(len(sequences), workers * STEAL_FACTOR)
+            sequences, min(len(sequences), live.workers * STEAL_FACTOR)
         )
-        with sharding(workers, executor, transport) as (backend, channel):
-            before = dict(channel.stats)
-            # The runner ships once per run; each shard ships as its own
-            # handle so the work-stealing dispatch stays per-shard.
-            runner_handle = channel.publish(self)
-            shard_handles = [channel.publish(shard) for shard in shards]
-            # submit() preserves shard order through the futures list
-            # while letting the pool hand the next pending shard to
-            # whichever worker frees up first.
-            futures = [
-                backend.submit(_execute_shard, runner_handle, handle, batched)
-                for handle in shard_handles
-            ]
-            results = [f.result() for f in futures]
-            dispatch_bytes = sum(
-                runner_handle.wire_bytes + handle.wire_bytes
-                for handle in shard_handles
+        channel = live.channel
+        before = dict(channel.stats)
+        # The runner ships once per run; each shard ships as its own
+        # handle so the work-stealing dispatch stays per-shard.
+        runner_handle = channel.publish(self)
+        shard_handles = [channel.publish(shard) for shard in shards]
+        # submit() preserves shard order through the futures list
+        # while letting the pool hand the next pending shard to
+        # whichever worker frees up first.
+        futures = [
+            live.backend.submit(
+                _execute_shard,
+                runner_handle,
+                handle,
+                live.batched,
+                live.batch_size,
             )
-            transport_info = {
-                "mode": "shm" if channel.use_shm else "pickle",
-                "persistent_channel": transport is not None,
-                "dispatches": len(shards),
-                "payload_bytes": dispatch_bytes,
-                "payload_bytes_per_dispatch": dispatch_bytes / len(shards),
-                "segment_bytes_written": (
-                    channel.stats["segment_bytes"] - before["segment_bytes"]
-                ),
-                "segments_created": (
-                    channel.stats["segments_created"]
-                    - before["segments_created"]
-                ),
-                "publish_reuses": (
-                    channel.stats["publish_reuses"] - before["publish_reuses"]
-                ),
-            }
-        contexts: list[FrameContext] = []
-        timings: dict[str, StageTiming] = {
-            name: StageTiming() for name in self.graph.stage_names
+            for handle in shard_handles
+        ]
+        results = [f.result() for f in futures]
+        dispatch_bytes = sum(
+            runner_handle.wire_bytes + handle.wire_bytes
+            for handle in shard_handles
+        )
+        transport_info = {
+            "mode": "shm" if channel.use_shm else "pickle",
+            "dispatches": len(shards),
+            "payload_bytes": dispatch_bytes,
+            "payload_bytes_per_dispatch": dispatch_bytes / len(shards),
+            "segment_bytes_written": (
+                channel.stats["segment_bytes"] - before["segment_bytes"]
+            ),
+            "segments_created": (
+                channel.stats["segments_created"] - before["segments_created"]
+            ),
+            "publish_reuses": (
+                channel.stats["publish_reuses"] - before["publish_reuses"]
+            ),
         }
+        contexts: list[FrameContext] = []
         # Summed timings are CPU seconds across *concurrent* workers —
         # attribution shares stay meaningful, but they are not wall clock
         # (the run's wall_seconds is measured by the caller).
@@ -388,7 +331,7 @@ class SequenceRunner:
                 total.seconds += timing.seconds
                 total.frames += timing.frames
                 total.calls += timing.calls
-        return contexts, timings, transport_info
+        return contexts, transport_info
 
     def _run_sequential(self, sequences, timings) -> list[FrameContext]:
         contexts: list[FrameContext] = []
@@ -413,14 +356,16 @@ class SequenceRunner:
                 contexts.append(ctx)
         return contexts
 
-    def _run_batched(self, sequences, timings) -> list[FrameContext]:
+    def _run_batched(
+        self, sequences, timings, batch_size: int | None
+    ) -> list[FrameContext]:
         # Lanes are keyed by *position* in ``sequences``, not by sequence
         # index — a repeated index is two independent lanes (exactly as
         # the sequential mode treats it).
         if not sequences:
             return []
         lanes: dict[int, list[FrameContext]] = {}
-        width = self.batch_size or len(sequences)
+        width = batch_size or len(sequences)
         for chunk_start in range(0, len(sequences), width):
             positions = range(
                 chunk_start, min(chunk_start + width, len(sequences))

@@ -27,7 +27,11 @@ __all__ = [
     "pupil_centroid_batch",
     "GeometricGazeEstimator",
     "FittedGazeEstimator",
+    "MIN_FIT_FRAMES",
 ]
+
+#: Frames with a visible pupil the least-squares calibration needs.
+MIN_FIT_FRAMES = 3
 
 
 def pupil_centroid(
@@ -159,9 +163,10 @@ class FittedGazeEstimator:
                 continue
             features.append([centroid[0], centroid[1], 1.0])
             targets.append(gaze)
-        if len(features) < 3:
+        if len(features) < MIN_FIT_FRAMES:
             raise ValueError(
-                f"need at least 3 frames with a visible pupil, got {len(features)}"
+                f"need at least {MIN_FIT_FRAMES} frames with a visible pupil, "
+                f"got {len(features)}"
             )
         design = np.asarray(features)
         self._coef, *_ = np.linalg.lstsq(design, np.asarray(targets), rcond=None)

@@ -38,7 +38,10 @@ from typing import Any
 import numpy as np
 
 from repro.engine.context import FrameContext, SequenceState
+from repro.engine.executors import Execution, sharding
+from repro.engine.runner import contiguous_shards
 from repro.engine.stage import StageGraph
+from repro.engine.transport import resolve_payload
 from repro.obs.names import SERVE_QUEUE_DEPTH
 from repro.obs.tracer import current_tracer
 from repro.serve.slo import SLOModel
@@ -378,8 +381,6 @@ def _serve_partition(bundle_handle, client_ids: list[int]):
     so a persistent pool serving repeated scenarios skips the
     deserialization entirely.
     """
-    from repro.engine.transport import resolve_payload
-
     return _run_replica(*resolve_payload(bundle_handle), client_ids)
 
 
@@ -391,9 +392,7 @@ def simulate_serving(
     scenario,
     slo: SLOModel | None = None,
     micro_batch: bool = True,
-    workers: int | None = None,
-    executor=None,
-    transport=None,
+    execution: Execution = Execution(),
     client_ids: list[int] | None = None,
 ) -> ServeRun:
     """Serve ``scenario``'s client fleet through a tracking stage graph.
@@ -401,18 +400,14 @@ def simulate_serving(
     ``scenario`` is a :class:`ServeScenario` or anything field-compatible
     (the spec's ``execution.serve`` section).  ``micro_batch=False``
     dispatches frames one at a time — the per-client-sequential baseline
-    the serving benchmark compares against.  ``workers >= 2`` partitions
-    the fleet into that many independent scheduler replicas executed in
-    worker processes, dispatched through
-    :func:`~repro.engine.executors.sharding`: ``executor`` and
-    ``transport`` borrow a backend and shared-memory channel (e.g. the
-    session's), and one left ``None`` is opened for this call.
-    Telemetry is identical whether the bundle ships over shared memory
-    or plain pickle.  Telemetry latencies are virtual-clock, hence
-    deterministic; ``wall_seconds`` measures the real serving loop.
+    the serving benchmark compares against; it is the only batching
+    knob here (``execution``'s lockstep fields do not apply).
+    ``execution.workers >= 2`` partitions the fleet into that many
+    independent scheduler replicas executed in worker processes (see
+    :class:`~repro.engine.executors.Execution`).  Telemetry latencies
+    are virtual-clock, hence deterministic and identical for every
+    execution; ``wall_seconds`` measures the real serving loop.
     """
-    from repro.engine import contiguous_shards, sharding
-
     if slo is None:
         slo = SLOModel.from_hardware(
             fps=dataset_cfg.fps,
@@ -421,33 +416,30 @@ def simulate_serving(
         )
     if client_ids is None:
         client_ids = list(range(scenario.num_clients))
-    n_workers = max(1, min(workers or 1, len(client_ids)))
     bundle = (graph, state_factory, dataset_cfg, scenario, slo, micro_batch)
-    if n_workers >= 2:
-        partitions = contiguous_shards(client_ids, n_workers)
-        with sharding(n_workers, executor, transport) as (backend, channel):
+    with sharding(execution, len(client_ids)) as live:
+        if live.backend is None:
+            telemetry, gaze_log, wall = _run_replica(*bundle, client_ids)
+        else:
             # The replica-invariant bundle ships once (slot-keyed, so a
             # later serve run on a persistent channel replaces this
             # generation's segments).
-            bundle_handle = channel.publish(bundle, slot="serve_bundle")
+            bundle_handle = live.channel.publish(bundle, slot="serve_bundle")
             futures = [
-                backend.submit(_serve_partition, bundle_handle, part)
-                for part in partitions
+                live.backend.submit(_serve_partition, bundle_handle, part)
+                for part in contiguous_shards(client_ids, live.workers)
             ]
             results = [f.result() for f in futures]
-        telemetry, gaze_log, _ = results[0]
-        for part_telemetry, part_log, _ in results[1:]:
-            telemetry.merge(part_telemetry)
-            gaze_log = gaze_log + part_log
-        # Replicas serve concurrently: the fleet's serving time is the
-        # slowest replica's loop, not the sum.
-        wall = max(w for _, _, w in results)
-    else:
-        n_workers = 1
-        telemetry, gaze_log, wall = _run_replica(*bundle, client_ids)
+            telemetry, gaze_log, _ = results[0]
+            for part_telemetry, part_log, _ in results[1:]:
+                telemetry.merge(part_telemetry)
+                gaze_log = gaze_log + part_log
+            # Replicas serve concurrently: the fleet's serving time is
+            # the slowest replica's loop, not the sum.
+            wall = max(w for _, _, w in results)
     return ServeRun(
         telemetry=telemetry,
         gaze_log=gaze_log,
         wall_seconds=wall,
-        workers=n_workers,
+        workers=live.workers,
     )

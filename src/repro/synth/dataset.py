@@ -21,7 +21,12 @@ from repro.synth.gaze_dynamics import GazeDynamicsConfig, GazeSequenceGenerator
 from repro.synth.noise import NoiseConfig, SensorNoiseModel, exposure_for_fps
 from repro.synth.renderer import EyeRenderer, RenderedFrame
 
-__all__ = ["SyntheticEyeDataset", "EyeSequence", "DatasetConfig"]
+__all__ = [
+    "SyntheticEyeDataset",
+    "EyeSequence",
+    "DatasetConfig",
+    "split_indices",
+]
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,19 @@ class EyeSequence:
     @property
     def num_classes(self) -> int:
         return NUM_CLASSES
+
+
+def split_indices(
+    num_sequences: int, train_fraction: float = 0.75
+) -> tuple[list[int], list[int]]:
+    """Deterministic train/validation split of ``range(num_sequences)``."""
+    if not 0 < train_fraction < 1:
+        raise ValueError("train_fraction must be in (0, 1)")
+    n_train = max(1, int(round(train_fraction * num_sequences)))
+    if num_sequences > 1:
+        n_train = min(n_train, num_sequences - 1)
+    indices = list(range(num_sequences))
+    return indices[:n_train], indices[n_train:]
 
 
 class SyntheticEyeDataset:
@@ -165,12 +183,7 @@ class SyntheticEyeDataset:
 
     def split(self, train_fraction: float = 0.75) -> tuple[list[int], list[int]]:
         """Deterministic train/validation split by sequence index."""
-        if not 0 < train_fraction < 1:
-            raise ValueError("train_fraction must be in (0, 1)")
-        n_train = max(1, int(round(train_fraction * len(self))))
-        n_train = min(n_train, len(self) - 1) if len(self) > 1 else n_train
-        indices = list(range(len(self)))
-        return indices[:n_train], indices[n_train:]
+        return split_indices(len(self), train_fraction)
 
     def frame_pairs(self, indices: list[int] | None = None):
         """Yield ``(prev_frame, frame, seg, gaze, roi_box, seq_index, t)``.

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.executors import Execution
 from repro.nn import Adam, CrossEntropyLoss, MSELoss
 from repro.sampling.roi import ROIPredictor
 from repro.segmentation.vit import ViTSegmenter
@@ -287,18 +288,13 @@ class JointTrainer:
         self,
         dataset: SyntheticEyeDataset,
         sequence_indices: list[int],
-        workers: int | None = None,
-        executor=None,
-        transport=None,
+        execution: Execution = Execution(),
     ) -> JointTrainResult:
         """Run ``config.epochs`` passes over the given sequences.
 
-        ``workers >= 2`` shards the epoch's per-sequence gradient passes
-        over worker processes (requires ``config.grad_accum``; see
-        :meth:`repro.training.runtime.TrainRunner.run`); ``executor``
-        and ``transport`` borrow a backend and shared-memory channel
-        (e.g. a ``repro.api.Session``'s) instead of opening them per
-        call — both bitwise-neutral.
+        ``execution`` may shard the epoch's per-sequence gradient passes
+        (bitwise-neutral; see
+        :meth:`repro.training.runtime.TrainRunner.run`).
         """
         # Imported here: the runtime imports this module for the config/
         # result/soft-mask types.
@@ -315,10 +311,4 @@ class JointTrainer:
             opt_roi=self.opt_roi,
             soft_mask=self.soft_mask,
         )
-        return runner.run(
-            dataset,
-            sequence_indices,
-            workers=workers,
-            executor=executor,
-            transport=transport,
-        )
+        return runner.run(dataset, sequence_indices, execution=execution)

@@ -46,6 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engine.executors import Execution, sharding
+from repro.engine.runner import contiguous_shards
+from repro.engine.transport import resolve_payload, worker_cached
 from repro.nn import Adam, CrossEntropyLoss, MSELoss, clip_grad_norm
 from repro.obs.tracer import current_tracer
 from repro.nn.functional import grey_dilation, grey_erosion
@@ -354,8 +357,6 @@ def _resolve_shard(shard_spec) -> list[tuple[int, object]]:
     once-only transfer could land on a worker that never cached it —
     rebuild mode is the fast path, inline the correctness fallback.
     """
-    from repro.engine.transport import worker_cached
-
     if shard_spec[0] == "inline":
         return shard_spec[1]
     _, dataset_type, dataset_cfg, indices = shard_spec
@@ -386,8 +387,6 @@ def _epoch_shard_job(
     to shard when non-canonical components were injected, so
     worker-side and in-process execution can never silently diverge.
     """
-    from repro.engine.transport import resolve_payload
-
     roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
     seg_loss = CrossEntropyLoss()
     roi_loss = MSELoss()
@@ -471,38 +470,19 @@ class TrainRunner:
         dataset,
         sequence_indices: Sequence[int],
         *,
-        workers: int | None = None,
-        executor=None,
-        transport=None,
+        execution: Execution = Execution(),
     ) -> JointTrainResult:
         """Train over ``sequence_indices`` for ``config.epochs`` epochs.
 
-        ``workers >= 2`` shards the data-parallel schedule's per-sequence
-        gradient passes over worker processes.  Requires
-        ``config.grad_accum`` — the stepped schedule updates weights
-        every minibatch and is inherently sequential.  As with
-        :meth:`~repro.engine.SequenceRunner.run`, the worker count is
-        clamped to the sequence count: a single-sequence run stays
-        in-process (same bits — workers never change results) even when
-        an executor was injected.
-
-        ``executor`` and ``transport`` follow the engine runner's
-        convention (:func:`~repro.engine.executors.sharding`): a passed
-        backend or :class:`~repro.engine.transport.TransportChannel` is
-        borrowed (e.g. a ``Session``'s), one left ``None`` is opened for
-        this call and closed on return.  Results are bitwise-identical
-        whether shards ship over shared memory or, where that is
-        unavailable, plain pickle.
+        ``execution.workers >= 2`` shards the data-parallel schedule's
+        per-sequence gradient passes over worker processes (see
+        :class:`~repro.engine.executors.Execution`; its lockstep fields
+        do not apply — the minibatch is ``config.batch_size``).
+        Requires ``config.grad_accum`` — the stepped schedule updates
+        weights every minibatch and is inherently sequential.  Results
+        are bitwise-identical for any worker count.
         """
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
-        n_workers = workers or 1
-        if executor is not None and n_workers < 2:
-            raise ValueError(
-                "executor was injected but workers < 2 would run in-process "
-                "and silently ignore it; pass workers >= 2 to shard"
-            )
-        if n_workers >= 2 and not self.config.grad_accum:
+        if execution.workers >= 2 and not self.config.grad_accum:
             raise ValueError(
                 "sharded training requires grad_accum=True: the stepped "
                 "schedule takes an Adam step per minibatch, which is "
@@ -510,7 +490,7 @@ class TrainRunner:
                 "accumulates per-sequence gradients (fixed reduction "
                 "order) and steps once per epoch"
             )
-        if n_workers >= 2 and not self._components_canonical():
+        if execution.workers >= 2 and not self._components_canonical():
             # Workers rebuild the canonical kernels (custom objects
             # generally do not pickle); silently diverging from the
             # in-process run would break the worker-count-neutrality
@@ -524,7 +504,7 @@ class TrainRunner:
         indices = list(sequence_indices)
         self.segmenter.train()
         self.roi_predictor.train()
-        return self._execute(dataset, indices, n_workers, executor, transport)
+        return self._execute(dataset, indices, execution)
 
     def _components_canonical(self) -> bool:
         """Whether workers would rebuild exactly the components in use.
@@ -546,14 +526,12 @@ class TrainRunner:
         )
 
     def _execute(
-        self, dataset, indices: list[int], n_workers: int, executor, transport
+        self, dataset, indices: list[int], execution: Execution
     ) -> JointTrainResult:
         """Dispatch to the configured schedule; restore eval mode."""
         try:
             if self.config.grad_accum:
-                result = self._run_accumulated(
-                    dataset, indices, n_workers, executor, transport
-                )
+                result = self._run_accumulated(dataset, indices, execution)
             else:
                 result = self._run_stepped(
                     collect_frame_pairs(dataset, indices)
@@ -616,46 +594,31 @@ class TrainRunner:
 
     # -- data-parallel schedule (grad_accum) ----------------------------------
     def _run_accumulated(
-        self,
-        dataset,
-        indices: list[int],
-        workers: int,
-        executor,
-        transport,
+        self, dataset, indices: list[int], execution: Execution
     ) -> JointTrainResult:
         """One Adam step per epoch over fixed-order per-sequence sums."""
-        from repro.engine import contiguous_shards, sharding
-
         cfg = self.config
-        n_workers = min(workers, len(indices))
         result = JointTrainResult()
         roi_params = self.roi_predictor.parameters()
         seg_params = self.segmenter.parameters()
         tracer = current_tracer()
         # One backend + channel for the whole run (not per epoch).
-        dispatch = (
-            sharding(n_workers, executor, transport)
-            if n_workers >= 2
-            else nullcontext((None, None))
-        )
-        with dispatch as (backend, channel):
+        with sharding(execution, len(indices)) as live:
             # The run-constant shard specs ship once, into slots a later
             # training run on the same channel will recycle; sharded
             # rebuild mode never renders the training sequences in the
             # parent at all.
-            shard_handles = (
-                [
-                    channel.publish(
+            shard_handles = None
+            if live.backend is not None:
+                shard_handles = [
+                    live.channel.publish(
                         self._shard_spec(dataset, shard),
                         slot=("train_shard", i),
                     )
                     for i, shard in enumerate(
-                        contiguous_shards(indices, n_workers)
+                        contiguous_shards(indices, live.workers)
                     )
                 ]
-                if backend is not None
-                else None
-            )
             for epoch in range(cfg.epochs):
                 epoch_span = (
                     tracer.span(
@@ -663,7 +626,7 @@ class TrainRunner:
                         epoch=epoch,
                         schedule="accumulated",
                         sequences=len(indices),
-                        workers=n_workers,
+                        workers=live.workers,
                     )
                     if tracer is not None
                     else nullcontext()
@@ -672,8 +635,8 @@ class TrainRunner:
                     tracer.count("train.epochs")
                 with epoch_span:
                     self._accumulate_epoch(
-                        dataset, indices, shard_handles, channel, epoch,
-                        backend, roi_params, seg_params, result,
+                        dataset, indices, shard_handles, live, epoch,
+                        roi_params, seg_params, result,
                     )
         return result
 
@@ -712,19 +675,16 @@ class TrainRunner:
         dataset,
         indices: list[int],
         shard_handles: list | None,
-        channel,
+        live: Execution,
         epoch: int,
-        backend,
         roi_params,
         seg_params,
         result: JointTrainResult,
     ) -> None:
         """One data-parallel epoch: reduce per-sequence sums, step once."""
         cfg = self.config
-        if backend is not None:
-            per_seq = self._sharded_epoch(
-                shard_handles, channel, epoch, backend
-            )
+        if live.backend is not None:
+            per_seq = self._sharded_epoch(shard_handles, live, epoch)
         else:
             # Lazy in-process generation: only one sequence's gradient
             # copies are alive at a time — the reduction below consumes
@@ -779,12 +739,10 @@ class TrainRunner:
         result.seg_losses.append(seg_sum / ranks)
         result.roi_losses.append(roi_sum / ranks)
 
-    def _sharded_epoch(
-        self, shard_handles: list, channel, epoch: int, backend
-    ):
+    def _sharded_epoch(self, shard_handles: list, live: Execution, epoch: int):
         """Per-sequence gradients of one epoch, sharded over processes.
 
-        Contiguous shards of whole sequences onto ``backend``.  The
+        Contiguous shards of whole sequences onto ``live.backend``.  The
         epoch-start weights are published into the ``"train_models"``
         slot — each epoch's segments *replace* the previous epoch's
         (safe: every epoch-``e`` task completes before epoch ``e+1``
@@ -795,12 +753,12 @@ class TrainRunner:
         the worker count: shards that finish early sit buffered in their
         futures until the in-order reduction reaches them.
         """
-        models_handle = channel.publish(
+        models_handle = live.channel.publish(
             (self.roi_predictor, self.segmenter, self.config, self.seed),
             slot="train_models",
         )
         futures = [
-            backend.submit(
+            live.backend.submit(
                 _epoch_shard_job, models_handle, shard_handle, epoch
             )
             for shard_handle in shard_handles

@@ -68,8 +68,11 @@ class TestRunCommand:
         spec_path.write_text(
             ExperimentSpec.from_dict({"workload": "area"}).to_json()
         )
-        assert main(["run", str(spec_path), "--workers", "-2"]) == 2
-        assert "execution.workers" in capsys.readouterr().err
+        # 0 is an explicit value too, not "unset": it must not fall back
+        # to the spec's workers.
+        for workers in ("-2", "0"):
+            assert main(["run", str(spec_path), "--workers", workers]) == 2
+            assert "execution.workers" in capsys.readouterr().err
 
     def test_unknown_backend_override_exits_2(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -88,6 +91,19 @@ class TestRunCommand:
         spec_path.write_text('{"workload": "bogus"}')
         assert main(["run", str(spec_path)]) == 2
         assert "unknown workload" in capsys.readouterr().err
+        # A training split the gaze fit cannot calibrate on (1 x 2
+        # frames) fails validation too, instead of a traceback mid-run.
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "workload": "evaluate",
+                    "dataset": {"num_sequences": 1, "frames_per_sequence": 2},
+                    "training": {"train_indices": [0]},
+                }
+            )
+        )
+        assert main(["run", str(spec_path)]) == 2
+        assert "training.train_indices" in capsys.readouterr().err
 
     def test_unknown_field_exits_2_with_field_name(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"

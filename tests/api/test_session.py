@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, Session, SpecError
-from repro.engine import SequenceRunner, Stage
+from repro.engine import Execution, SequenceRunner, Stage
 
 #: The cheapest spec that exercises training + evaluation.
 TINY = {
@@ -153,7 +153,7 @@ class TestPersistentPool:
         solo = SequenceRunner([Probe()]).run(sequences)
         with Session() as session:
             run = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=session.executor(2)
+                sequences, Execution(workers=2, backend=session.executor(2))
             )
         assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [
             (c.seq_index, c.t, c.gaze_pred) for c in solo.contexts

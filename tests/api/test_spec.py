@@ -246,6 +246,33 @@ class TestValidation:
             ExperimentSpec.from_dict({"training": {"train_indices": [4]}})
         with pytest.raises(SpecError, match=r"eval_indices\[0\]"):
             ExperimentSpec.from_dict({"execution": {"eval_indices": [-1]}})
+        # The tracker workloads' training split must also hold the gaze
+        # fit's 3 frames: 1 sequence x 2 frames fails here, not mid-run.
+        tiny = {
+            "dataset": {"num_sequences": 1, "frames_per_sequence": 2},
+            "training": {"train_indices": [0]},
+        }
+        for workload in ("evaluate", "serve", "throughput"):
+            with pytest.raises(SpecError, match="training.train_indices"):
+                ExperimentSpec.from_dict({**tiny, "workload": workload})
+        # The implicit split counts too: 2 x 2 trains on one sequence.
+        with pytest.raises(SpecError, match="training.train_indices"):
+            ExperimentSpec.from_dict(
+                {
+                    "workload": "evaluate",
+                    "dataset": {"num_sequences": 2, "frames_per_sequence": 2},
+                }
+            )
+        # Two training sequences clear the floor; workloads that do not
+        # fit the gaze regression are not constrained.
+        ExperimentSpec.from_dict(
+            {
+                "workload": "evaluate",
+                "dataset": {"num_sequences": 2, "frames_per_sequence": 2},
+                "training": {"train_indices": [0, 1]},
+            }
+        )
+        ExperimentSpec.from_dict({**tiny, "workload": "energy"})
 
     def test_fps_sweep_points_validated(self):
         spec = ExperimentSpec.from_dict(

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import BlissCamPipeline, ci
 from repro.core.throughput import _rate, measure_throughput, throughput_tables
-from repro.engine import StageTiming
+from repro.engine import Execution, StageTiming
 
 
 def _fake_result(marker: float, frames: int = 5) -> SimpleNamespace:
@@ -40,7 +40,7 @@ class _FakePipeline:
         self._durations = iter(durations)
         self._calls = 0
 
-    def evaluate(self, indices, batched=False, workers=None):
+    def evaluate(self, indices, execution=None):
         self._calls += 1
         if self._calls <= 2:  # the two warm-up calls are untimed
             return _fake_result(marker=-1.0)
@@ -142,7 +142,7 @@ class TestEndToEndWithWorkers:
         pipeline = BlissCamPipeline(ci(num_sequences=5, frames_per_sequence=6))
         pipeline.train([0, 1])
         record = measure_throughput(
-            pipeline, [2, 3, 4], repeats=1, workers=2
+            pipeline, [2, 3, 4], repeats=1, execution=Execution(workers=2)
         )
         assert record["bitwise_identical"]
         assert record["workers"] == 2

@@ -6,6 +6,7 @@ import pytest
 from repro.core import BlissCamPipeline, ci
 from repro.engine import (
     EventifyStage,
+    Execution,
     FrameContext,
     SequenceRunner,
     SequenceState,
@@ -78,8 +79,10 @@ class TestStageGraph:
             ROIReuseStage(inner, window=0)
 
     def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceRunner([EventifyStage()], batch_size=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            SequenceRunner([EventifyStage()]).run(
+                [], Execution(batched=True, batch_size=0)
+            )
 
 
 class TestFrameContextInvariants:
@@ -190,7 +193,7 @@ class TestRunnerExecution:
             frames = np.zeros((4, 4, 4))
 
         run = SequenceRunner([Probe()]).run(
-            [(0, Short()), (1, Long())], batched=True
+            [(0, Short()), (1, Long())], Execution(batched=True)
         )
         assert order == [
             [(0, 0), (1, 0)],
@@ -206,13 +209,17 @@ class TestRunnerExecution:
     def test_empty_sequence_list_is_symmetric(self):
         runner = SequenceRunner([EventifyStage()])
         for batched in (False, True):
-            run = runner.run([], batched=batched)
+            run = runner.run([], Execution(batched=batched))
             assert run.contexts == []
             assert run.evaluated == []
 
     def test_batch_size_chunks_the_rank(self, trained_pipeline):
-        full = trained_pipeline.evaluate([2, 3], batched=True)
-        chunked = trained_pipeline.evaluate([2, 3], batched=True, batch_size=1)
+        full = trained_pipeline.evaluate(
+            [2, 3], execution=Execution(batched=True)
+        )
+        chunked = trained_pipeline.evaluate(
+            [2, 3], execution=Execution(batched=True, batch_size=1)
+        )
         assert np.array_equal(full.predictions, chunked.predictions)
 
     def test_duplicate_sequence_indices_are_independent_lanes(
@@ -221,7 +228,9 @@ class TestRunnerExecution:
         """A repeated index must be two lanes, not one double-processed
         lane (regression: lanes used to be keyed by sequence index)."""
         seq_res = trained_pipeline.evaluate([2, 2, 3])
-        bat_res = trained_pipeline.evaluate([2, 2, 3], batched=True)
+        bat_res = trained_pipeline.evaluate(
+            [2, 2, 3], execution=Execution(batched=True)
+        )
         assert np.array_equal(seq_res.predictions, bat_res.predictions)
         assert seq_res.stats.transmitted_bytes == bat_res.stats.transmitted_bytes
         # Both copies of sequence 2 ran identical spawned streams.

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlissCamPipeline, ci, evaluate_strategy, make_strategy
+from repro.engine import Execution
 from repro.gaze.metrics import angular_errors
 from repro.sampling.roi import ROIReusePolicy, box_iou
 from repro.segmentation import ViTConfig, ViTSegmenter
@@ -101,7 +102,9 @@ def reference_evaluate(pipeline, eval_indices, reuse_window=1, sensor_seed=1234)
 class TestBatchedEqualsSequential:
     def test_full_result_bitwise_identical(self, trained_pipeline):
         seq_res = trained_pipeline.evaluate([2, 3, 4])
-        bat_res = trained_pipeline.evaluate([2, 3, 4], batched=True)
+        bat_res = trained_pipeline.evaluate(
+            [2, 3, 4], execution=Execution(batched=True)
+        )
         assert np.array_equal(seq_res.predictions, bat_res.predictions)
         assert np.array_equal(seq_res.truths, bat_res.truths)
         assert seq_res.horizontal == bat_res.horizontal
@@ -117,7 +120,7 @@ class TestBatchedEqualsSequential:
     def test_reuse_window_bitwise_identical(self, trained_pipeline):
         seq_res = trained_pipeline.evaluate([2, 3, 4], reuse_window=4)
         bat_res = trained_pipeline.evaluate(
-            [2, 3, 4], reuse_window=4, batched=True
+            [2, 3, 4], reuse_window=4, execution=Execution(batched=True)
         )
         assert np.array_equal(seq_res.predictions, bat_res.predictions)
         assert seq_res.stats.transmitted_bytes == bat_res.stats.transmitted_bytes
@@ -207,7 +210,11 @@ class TestStagedEqualsPreRefactor:
 
             # Engine-backed harness with identically seeded inputs, in
             # every execution mode.
-            for mode in ({}, {"batched": True}, {"workers": 2}):
+            for execution in (
+                Execution(),
+                Execution(batched=True),
+                Execution(workers=2),
+            ):
                 est_new = FittedGazeEstimator()
                 est_new.fit(segs, gazes)
                 result = evaluate_strategy(
@@ -217,7 +224,7 @@ class TestStagedEqualsPreRefactor:
                     eval_idx,
                     np.random.default_rng(7),
                     gaze_estimator=est_new,
-                    **mode,
+                    execution=execution,
                 )
                 assert result.frames == len(preds_ref)
                 expected_compression = (

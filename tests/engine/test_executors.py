@@ -15,10 +15,12 @@ import pytest
 
 from repro.engine import (
     EXECUTOR_BACKENDS,
+    Execution,
     FileQueueBackend,
     InProcessExecutor,
     SequenceRunner,
     Stage,
+    TransportChannel,
     make_executor,
 )
 from repro.engine.executors import SPOOL_PREFIX, FileQueueJobError
@@ -92,6 +94,28 @@ class TestProtocolContract:
         ex.shutdown()
 
 
+class TestExecution:
+    """One value, one validation site: every front (engine, training,
+    serving) rejects the same settings because the type does."""
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"workers": 0},
+            {"workers": -3},
+            {"batch_size": 0},
+            # Silently ignoring an injected backend or channel (and
+            # running in-process) would defeat the caller's intent.
+            {"workers": 1, "backend": InProcessExecutor(2)},
+            {"workers": 1, "channel": TransportChannel(use_shm=False)},
+        ],
+        ids=["workers-0", "workers-neg", "batch_size-0", "backend", "channel"],
+    )
+    def test_invalid_settings_rejected(self, settings):
+        with pytest.raises(ValueError, match="workers|batch_size"):
+            Execution(**settings)
+
+
 class TestEngineParity:
     """The acceptance pin: all three backends == serial reference on a
     real staged run (shards + transport + fixed-order merge)."""
@@ -110,7 +134,7 @@ class TestEngineParity:
         ex = make_executor(backend, 2)
         try:
             run = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=ex
+                sequences, Execution(workers=2, backend=ex)
             )
         finally:
             ex.shutdown(wait=True)

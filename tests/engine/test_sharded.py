@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from repro.core import BlissCamPipeline, ci, evaluate_strategy, make_strategy
-from repro.engine import SequenceRunner, Stage, contiguous_shards, shard_executor
+from repro.engine import (
+    Execution,
+    SequenceRunner,
+    Stage,
+    contiguous_shards,
+    shard_executor,
+)
 from repro.engine.runner import STEAL_FACTOR
 
 
@@ -84,19 +90,16 @@ class TestContiguousShards:
 
 
 class TestShardedRunner:
-    def test_invalid_workers_rejected(self):
-        runner = SequenceRunner([Probe()])
-        with pytest.raises(ValueError):
-            runner.run([(0, Seq())], workers=0)
-
     def test_workers_one_runs_in_process(self):
-        run = SequenceRunner([Probe()]).run([(0, Seq())], workers=1)
+        run = SequenceRunner([Probe()]).run(
+            [(0, Seq())], Execution(workers=1)
+        )
         assert run.workers == 1
         assert len(run.contexts) == 3
 
     def test_sequence_major_order_across_shards(self):
         run = SequenceRunner([Probe()]).run(
-            [(i, Seq()) for i in (7, 3, 9, 5, 2)], workers=2
+            [(i, Seq()) for i in (7, 3, 9, 5, 2)], Execution(workers=2)
         )
         assert run.workers == 2
         assert [(c.seq_index, c.t) for c in run.contexts] == [
@@ -104,14 +107,18 @@ class TestShardedRunner:
         ]
 
     def test_workers_clamped_to_sequence_count(self):
-        run = SequenceRunner([Probe()]).run([(0, Seq()), (1, Seq())], workers=8)
+        run = SequenceRunner([Probe()]).run(
+            [(0, Seq()), (1, Seq())], Execution(workers=8)
+        )
         assert run.workers == 2
         assert len(run.contexts) == 6
 
     def test_timings_summed_over_shards(self):
         sequences = [(i, Seq()) for i in range(4)]
         solo = SequenceRunner([Probe()]).run(sequences)
-        sharded = SequenceRunner([Probe()]).run(sequences, workers=2)
+        sharded = SequenceRunner([Probe()]).run(
+            sequences, Execution(workers=2)
+        )
         assert sharded.stage_timings["probe"].frames == (
             solo.stage_timings["probe"].frames
         )
@@ -121,7 +128,7 @@ class TestShardedRunner:
         assert sharded.stage_timings["probe"].seconds > 0
 
     def test_empty_sequence_list(self):
-        run = SequenceRunner([Probe()]).run([], workers=4)
+        run = SequenceRunner([Probe()]).run([], Execution(workers=4))
         assert run.contexts == []
         assert run.workers == 1
 
@@ -130,10 +137,12 @@ class TestShardedRunner:
         # would defeat the caller's parallelism intent — fail loudly.
         with shard_executor(2) as pool:
             with pytest.raises(ValueError, match="workers >= 2"):
-                SequenceRunner([Probe()]).run([(0, Seq())], executor=pool)
+                SequenceRunner([Probe()]).run(
+                    [(0, Seq())], Execution(backend=pool)
+                )
             with pytest.raises(ValueError, match="workers >= 2"):
                 SequenceRunner([Probe()]).run(
-                    [(0, Seq())], workers=1, executor=pool
+                    [(0, Seq())], Execution(workers=1, backend=pool)
                 )
 
     def test_injected_executor_matches_per_call_pool(self):
@@ -141,13 +150,15 @@ class TestShardedRunner:
         invisible in the results: same sequence-major order, same
         contents, same summed timing counts as the per-call pool."""
         sequences = [(i, Seq()) for i in (7, 3, 9, 5, 2, 8, 1)]
-        per_call = SequenceRunner([Probe()]).run(sequences, workers=2)
+        per_call = SequenceRunner([Probe()]).run(
+            sequences, Execution(workers=2)
+        )
         with shard_executor(2) as pool:
             injected = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool
+                sequences, Execution(workers=2, backend=pool)
             )
             again = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool
+                sequences, Execution(workers=2, backend=pool)
             )
         for run in (injected, again):
             assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [
@@ -168,7 +179,7 @@ class TestShardedRunner:
         reference = SequenceRunner([Probe()]).run(sequences)
         with shard_executor(2) as pool:
             stolen = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool
+                sequences, Execution(workers=2, backend=pool)
             )
         # Oversubscription actually engaged: more shards than workers.
         assert stolen.transport["dispatches"] == min(
@@ -187,9 +198,11 @@ class TestShardedRunner:
         back to the parent, so merges ship results, not frame data."""
         sequences = [(i, Seq()) for i in range(4)]
         slim = SequenceRunner([FatProbe()], retain_intermediates=False).run(
-            sequences, workers=2
+            sequences, Execution(workers=2)
         )
-        fat = SequenceRunner([FatProbe()]).run(sequences, workers=2)
+        fat = SequenceRunner([FatProbe()]).run(
+            sequences, Execution(workers=2)
+        )
         assert all(c.readout is None for c in slim.contexts)
         assert all(c.gaze_pred is not None for c in slim.contexts)
         assert all(c.readout is not None for c in fat.contexts)
@@ -202,12 +215,18 @@ class TestShardedTracking:
         indices = [2, 3, 4, 5]
         seq = trained_pipeline.evaluate(indices)
         runs = {
-            "batched": trained_pipeline.evaluate(indices, batched=True),
-            "sharded": trained_pipeline.evaluate(indices, workers=2),
-            "sharded+batched": trained_pipeline.evaluate(
-                indices, workers=2, batched=True
+            "batched": trained_pipeline.evaluate(
+                indices, execution=Execution(batched=True)
             ),
-            "sharded x3": trained_pipeline.evaluate(indices, workers=3),
+            "sharded": trained_pipeline.evaluate(
+                indices, execution=Execution(workers=2)
+            ),
+            "sharded+batched": trained_pipeline.evaluate(
+                indices, execution=Execution(workers=2, batched=True)
+            ),
+            "sharded x3": trained_pipeline.evaluate(
+                indices, execution=Execution(workers=3)
+            ),
         }
         for name, other in runs.items():
             assert np.array_equal(seq.predictions, other.predictions), name
@@ -222,12 +241,16 @@ class TestShardedTracking:
 
     def test_sharded_with_reuse_window(self, trained_pipeline):
         seq = trained_pipeline.evaluate([2, 3, 4], reuse_window=4)
-        shard = trained_pipeline.evaluate([2, 3, 4], reuse_window=4, workers=2)
+        shard = trained_pipeline.evaluate(
+            [2, 3, 4], reuse_window=4, execution=Execution(workers=2)
+        )
         assert np.array_equal(seq.predictions, shard.predictions)
         assert seq.stats.transmitted_bytes == shard.stats.transmitted_bytes
 
     def test_sharded_stage_timings_cover_graph(self, trained_pipeline):
-        result = trained_pipeline.evaluate([2, 3, 4], workers=2)
+        result = trained_pipeline.evaluate(
+            [2, 3, 4], execution=Execution(workers=2)
+        )
         assert set(result.stage_timings) == {
             "eventify", "roi", "sample", "readout", "segment", "gaze", "stats",
         }
@@ -252,13 +275,13 @@ class TestShardedStrategySweep:
                     dataset,
                     eval_idx,
                     np.random.default_rng(21),
-                    **kwargs,
+                    execution=execution,
                 )
-                for mode, kwargs in [
-                    ("sequential", {}),
-                    ("batched", {"batched": True}),
-                    ("chunked", {"batched": True, "batch_size": 2}),
-                    ("sharded", {"workers": 2}),
+                for mode, execution in [
+                    ("sequential", Execution()),
+                    ("batched", Execution(batched=True)),
+                    ("chunked", Execution(batched=True, batch_size=2)),
+                    ("sharded", Execution(workers=2)),
                 ]
             }
             ref = results["sequential"]

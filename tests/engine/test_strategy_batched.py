@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.variants import evaluate_strategy, make_strategy
+from repro.engine import Execution
 from repro.engine.stage import Stage
 from repro.engine.stages import (
     EventifyPairStage,
@@ -48,11 +49,11 @@ def vit():
     )
 
 
-def _run(strategy_name, dataset, segmenter, **kwargs):
+def _run(strategy_name, dataset, segmenter, execution=Execution()):
     strategy = make_strategy(strategy_name, COMPRESSION, dataset=dataset)
     rng = np.random.default_rng(int(np.random.default_rng(7).integers(2**32)))
     return evaluate_strategy(
-        strategy, segmenter, dataset, EVAL_IDX, rng, **kwargs
+        strategy, segmenter, dataset, EVAL_IDX, rng, execution=execution
     )
 
 
@@ -82,13 +83,15 @@ class TestStrategyGraphParity:
         across batch widths 1 (degenerate rank), 3 (partial rank) and
         full-rank lockstep."""
         ref = _run(name, dataset, vit)
-        for kwargs in (
-            {"batched": True, "batch_size": 1},
-            {"batched": True, "batch_size": 3},
-            {"batched": True},
-            {"workers": 2},
+        for execution in (
+            Execution(batched=True, batch_size=1),
+            Execution(batched=True, batch_size=3),
+            Execution(batched=True),
+            Execution(workers=2),
         ):
-            _assert_same(ref, _run(name, dataset, vit, **kwargs), (name, kwargs))
+            _assert_same(
+                ref, _run(name, dataset, vit, execution), (name, execution)
+            )
 
 
 class TestDenseBackendParity:
@@ -101,7 +104,8 @@ class TestDenseBackendParity:
         net = net_cls(np.random.default_rng(3), base_channels=4).eval()
         for name in ("Skip", "Ours (ROI+Random)"):
             ref = _run(name, dataset, net)
-            _assert_same(ref, _run(name, dataset, net, batched=True), name)
+            bat = _run(name, dataset, net, Execution(batched=True))
+            _assert_same(ref, bat, name)
 
     @pytest.mark.parametrize("net_cls", [EdGazeNet, RITNet])
     def test_training_mode_falls_back_per_row(self, net_cls, dataset):
@@ -113,5 +117,7 @@ class TestDenseBackendParity:
 
         assert fresh().training  # fresh nets start in training mode
         ref = _run("Ours (ROI+Random)", dataset, fresh())
-        bat = _run("Ours (ROI+Random)", dataset, fresh(), batched=True)
+        bat = _run(
+            "Ours (ROI+Random)", dataset, fresh(), Execution(batched=True)
+        )
         _assert_same(ref, bat, net_cls.__name__)

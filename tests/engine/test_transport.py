@@ -21,6 +21,7 @@ import pytest
 
 from repro.api import ExperimentSpec, Session
 from repro.engine import (
+    Execution,
     SequenceRunner,
     Stage,
     TransportChannel,
@@ -189,7 +190,7 @@ class TestLifecycle:
 class TestEngineIntegration:
     def test_sharded_run_records_transport(self):
         run = SequenceRunner([Probe()]).run(
-            [(i, Seq()) for i in range(4)], workers=2
+            [(i, Seq()) for i in range(4)], Execution(workers=2)
         )
         info = run.transport
         assert info is not None
@@ -205,9 +206,11 @@ class TestEngineIntegration:
     def test_forced_pickle_transport_matches_shm(self, monkeypatch):
         sequences = [(i, Seq()) for i in (7, 3, 9, 5)]
         reference = SequenceRunner([Probe()]).run(sequences)
-        shm = SequenceRunner([Probe()]).run(sequences, workers=2)
+        shm = SequenceRunner([Probe()]).run(sequences, Execution(workers=2))
         monkeypatch.setenv(DISABLE_ENV, "1")
-        pickled = SequenceRunner([Probe()]).run(sequences, workers=2)
+        pickled = SequenceRunner([Probe()]).run(
+            sequences, Execution(workers=2)
+        )
         assert pickled.transport["mode"] == "pickle"
         for run in (shm, pickled):
             assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [
@@ -217,7 +220,9 @@ class TestEngineIntegration:
     @needs_shm
     def test_run_teardown_leaves_no_segments(self):
         before = _live_segments()
-        SequenceRunner([Probe()]).run([(i, Seq()) for i in range(4)], workers=2)
+        SequenceRunner([Probe()]).run(
+            [(i, Seq()) for i in range(4)], Execution(workers=2)
+        )
         assert _live_segments() <= before
 
     @needs_shm
@@ -225,10 +230,12 @@ class TestEngineIntegration:
         sequences = [(i, Seq()) for i in range(4)]
         with shard_executor(2) as pool, TransportChannel() as channel:
             first = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool, transport=channel
+                sequences,
+                Execution(workers=2, backend=pool, channel=channel),
             )
             second = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool, transport=channel
+                sequences,
+                Execution(workers=2, backend=pool, channel=channel),
             )
         # Steady state: every publish is a dedup hit, no new bytes move.
         assert second.transport["publish_reuses"] > 0

@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec, Session
-from repro.engine import shm_available
+from repro.engine import Execution, shm_available
 from repro.engine.transport import DISABLE_ENV
 from repro.serve import ClientSensorFactory, ServeScenario, simulate_serving
 
@@ -91,7 +91,8 @@ def test_replica_partitioning_preserves_results(serving):
     single = serve(serving)
     with Session() as session:
         sharded = serve(
-            serving, workers=2, executor=session.executor(2)
+            serving,
+            execution=Execution(workers=2, backend=session.executor(2)),
         )
     assert sharded.workers == 2
     assert sorted(sharded.gaze_log) == sorted(single.gaze_log)
@@ -108,7 +109,7 @@ def test_replica_pickle_fallback_preserves_telemetry(serving, monkeypatch):
     single = serve(serving)
     monkeypatch.setenv(DISABLE_ENV, "1")
     assert not shm_available()
-    sharded = serve(serving, workers=2)
+    sharded = serve(serving, execution=Execution(workers=2))
     assert sharded.workers == 2
     assert sorted(sharded.gaze_log) == sorted(single.gaze_log)
     assert json.dumps(sharded.summary, sort_keys=True) == json.dumps(

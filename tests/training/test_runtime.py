@@ -13,7 +13,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import shm_available
+from repro.engine import Execution, shm_available
 from repro.engine.transport import DISABLE_ENV
 from repro.nn import Adam, CrossEntropyLoss, MSELoss, clip_grad_norm
 from repro.nn.functional import grey_dilation, grey_erosion
@@ -253,18 +253,20 @@ class TestBatchedSchedule:
 
 
 class TestShardedTraining:
-    def _train(self, workers=None):
+    def _train(self, workers=1):
         dataset = tiny_dataset(num_sequences=3, frames=4)
         roi, vit = tiny_components()
         cfg = JointTrainConfig(epochs=2, batch_size=2, grad_accum=True)
         runner = TrainRunner(
             roi, vit, cfg, np.random.default_rng(SEED_RNG)
         )
-        result = runner.run(dataset, [0, 1, 2], workers=workers)
+        result = runner.run(
+            dataset, [0, 1, 2], execution=Execution(workers=workers)
+        )
         return roi.state_dict(), vit.state_dict(), result
 
     def test_workers_two_bitwise_identical_to_in_process(self):
-        roi_a, vit_a, res_a = self._train(workers=None)
+        roi_a, vit_a, res_a = self._train(workers=1)
         roi_b, vit_b, res_b = self._train(workers=2)
         assert res_a.seg_losses == res_b.seg_losses
         assert res_a.roi_losses == res_b.roi_losses
@@ -276,7 +278,7 @@ class TestShardedTraining:
     ):
         # With shared memory disabled every shard payload ships inline
         # as pickle: the sharded run must still match in-process bits.
-        roi_a, vit_a, res_a = self._train(workers=None)
+        roi_a, vit_a, res_a = self._train(workers=1)
         monkeypatch.setenv(DISABLE_ENV, "1")
         assert not shm_available()
         roi_b, vit_b, res_b = self._train(workers=2)
@@ -316,7 +318,9 @@ class TestShardedTraining:
             roi, vit, JointTrainConfig(epochs=1), np.random.default_rng(0)
         )
         with pytest.raises(ValueError, match="grad_accum"):
-            runner.run(tiny_dataset(), [0, 1], workers=2)
+            runner.run(
+                tiny_dataset(), [0, 1], execution=Execution(workers=2)
+            )
 
     def test_config_less_dataset_ships_inline_and_stays_bitwise(self):
         # Duck-typed datasets without a reconstructing `config` fall back
@@ -334,11 +338,11 @@ class TestShardedTraining:
             roi, vit = tiny_components()
             cfg = JointTrainConfig(epochs=1, batch_size=2, grad_accum=True)
             TrainRunner(roi, vit, cfg, np.random.default_rng(7)).run(
-                dataset, [0, 1, 2], workers=workers
+                dataset, [0, 1, 2], execution=Execution(workers=workers)
             )
             return roi.state_dict()
 
-        assert_states_equal(train(True, 2), train(False, None))
+        assert_states_equal(train(True, 2), train(False, 1))
 
     def test_mutated_sequences_are_honored_when_sharded(self):
         # A materialized-then-mutated sequence must reach the workers
@@ -352,10 +356,12 @@ class TestShardedTraining:
             roi, vit = tiny_components()
             cfg = JointTrainConfig(epochs=1, batch_size=2, grad_accum=True)
             runner = TrainRunner(roi, vit, cfg, np.random.default_rng(9))
-            result = runner.run(ds, [0, 1, 2], workers=workers)
+            result = runner.run(
+                ds, [0, 1, 2], execution=Execution(workers=workers)
+            )
             return roi.state_dict(), result
 
-        roi_a, res_a = train(None)
+        roi_a, res_a = train(1)
         roi_b, res_b = train(2)
         assert res_a.roi_losses == res_b.roi_losses
         assert_states_equal(roi_a, roi_b)
@@ -379,7 +385,9 @@ class TestShardedTraining:
             seg_loss=WeightedCE(),
         )
         with pytest.raises(ValueError, match="canonical"):
-            runner.run(tiny_dataset(), [0, 1], workers=2)
+            runner.run(
+                tiny_dataset(), [0, 1], execution=Execution(workers=2)
+            )
 
     def test_sharding_with_mismatched_soft_mask_rejected(self):
         # A canonical-*type* mask with a different tau would also
@@ -392,7 +400,9 @@ class TestShardedTraining:
             soft_mask=SoftROIMask(SIZE, SIZE, tau=0.5),
         )
         with pytest.raises(ValueError, match="canonical"):
-            runner.run(tiny_dataset(), [0, 1], workers=2)
+            runner.run(
+                tiny_dataset(), [0, 1], execution=Execution(workers=2)
+            )
 
     def test_executor_without_workers_rejected(self):
         roi, vit = tiny_components()
@@ -402,4 +412,7 @@ class TestShardedTraining:
             np.random.default_rng(0),
         )
         with pytest.raises(ValueError, match="workers"):
-            runner.run(tiny_dataset(), [0, 1], executor=object())
+            runner.run(
+                tiny_dataset(), [0, 1],
+                execution=Execution(backend=object()),
+            )
