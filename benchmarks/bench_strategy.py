@@ -5,8 +5,9 @@ the Fig. 15 strategy harness (``repro.core.variants.evaluate_strategy``
 over the eventify/sample/segment/regress strategy graph).  It evaluates
 the same (strategy, segmenter) pair three ways:
 
-* **per-row** — the sequential reference: each sequence stepped frame by
-  frame through scalar ``Stage.process`` kernels;
+* **per-row** — the reference: the strategy graph wrapped by
+  ``per_row_graph`` (``tests/engine/per_row.py``, each stage's frozen
+  per-frame body), each sequence stepped alone through the same runner;
 * **batched** — full-rank lockstep through the stages' ``process_batch``
   kernels (stacked eventification, batched sampling draws, one dense
   segmenter forward per rank, vectorized centroid regression);
@@ -39,6 +40,7 @@ from _helpers import (
     once,
     record_bench,
 )
+from per_row import evaluate_strategy_per_row
 from repro.core.variants import evaluate_strategy, make_strategy
 from repro.engine import Execution
 from repro.segmentation import ViTConfig, ViTSegmenter
@@ -91,7 +93,7 @@ def _metrics_bytes(evaluation) -> bytes:
 
 
 def _time_mode(
-    dataset, segmenter, execution: Execution = Execution()
+    dataset, segmenter, execution: Execution, evaluate=evaluate_strategy
 ) -> tuple[float, object]:
     """Best-of-REPEATS wall seconds for one execution mode."""
     best, evaluation = None, None
@@ -101,7 +103,7 @@ def _time_mode(
             int(np.random.default_rng(7).integers(2**32))
         )
         start = time.perf_counter()  # repro: allow[REP102] benchmark timing harness
-        result = evaluate_strategy(
+        result = evaluate(
             strategy, segmenter, dataset, EVAL_IDX, rng, execution=execution
         )
         elapsed = time.perf_counter() - start  # repro: allow[REP102] benchmark timing harness
@@ -113,10 +115,13 @@ def _time_mode(
 def run_strategy_bench() -> dict:
     dataset = _dataset()
     segmenter = _segmenter()
-    per_row_s, per_row = _time_mode(dataset, segmenter)
-    batched_s, batched = _time_mode(
-        dataset, segmenter, Execution(batched=True)
+    per_row_s, per_row = _time_mode(
+        dataset,
+        segmenter,
+        Execution(batch_size=1),
+        evaluate=evaluate_strategy_per_row,
     )
+    batched_s, batched = _time_mode(dataset, segmenter, Execution())
     sharded_s, sharded = _time_mode(
         dataset, segmenter, Execution(workers=WORKERS)
     )

@@ -46,7 +46,7 @@ def main() -> None:
         print("\n[2/3] evaluating on held-out sequences (batched lockstep)...")
         # The session reuses the pipeline trained above (same training
         # hash) — run() only executes the staged engine, in vectorized
-        # lockstep, bitwise-identical to the sequential loop (see
+        # lockstep, bitwise-identical at every width (see
         # docs/architecture.md and `python -m repro.cli throughput`).
         result = session.run(spec)
         assert session.stats()["train_cache_hits"] == 1, session.stats()

@@ -245,13 +245,14 @@ class Session:
 
     def execution(self, spec: ExperimentSpec) -> Execution:
         """The spec's ``execution`` section as a live :class:`~repro.
-        engine.executors.Execution`: lockstep settings plus, when
-        sharded, the session's backend (:meth:`executor`) and channel
-        (:meth:`transport`).  ``backend: in_process`` or ``workers < 2``
-        give the in-process value — the serial reference path every
-        backend is pinned against."""
+        engine.executors.Execution`: the lockstep width ``batch_size``
+        (whatever ``batched`` says) plus, when sharded, the session's
+        backend (:meth:`executor`) and channel (:meth:`transport`).
+        ``backend: in_process`` or ``workers < 2`` give the in-process
+        value — the serial reference path every backend is pinned
+        against."""
         e = spec.execution
-        in_process = Execution(batched=e.batched, batch_size=e.batch_size)
+        in_process = Execution(batch_size=e.batch_size)
         backend = self.executor(e.workers, e.backend)
         if backend is None:
             return in_process

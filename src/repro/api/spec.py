@@ -63,6 +63,11 @@ class SpecError(ValueError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
         self.field = field_path
+        self.message = message
+
+    def __reduce__(self):
+        # Rebuilt from both fields when it crosses a process boundary.
+        return type(self), (self.field, self.message)
 
 
 @dataclass(frozen=True)
@@ -233,9 +238,11 @@ class ExecutionSection:
     #: the unsharded path regardless of ``workers``).  All backends are
     #: bitwise-identical for any job set.
     backend: str = "process_pool"
-    #: Vectorized lockstep mode (bitwise-identical to sequential).
+    #: Ignored: kept so existing specs load and hash unchanged.  The
+    #: lockstep width is ``batch_size``.
     batched: bool = False
-    #: Lockstep width bound; ``None`` runs all sequences in one rank.
+    #: Lockstep width; ``None`` runs all sequences in one rank.  Every
+    #: width is bitwise-identical; only speed changes.
     batch_size: int | None = None
     #: Best-of-N repeats for throughput timing.
     repeats: int = 3

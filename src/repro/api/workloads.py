@@ -23,10 +23,14 @@ import numpy as np
 from repro.api.registry import STRATEGIES, register_workload
 from repro.api.result import RunResult, stage_timing_table
 from repro.api.session import Session, system_config
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import ExperimentSpec, SpecError
 from repro.core import Table
 from repro.core.throughput import measure_throughput, throughput_tables
-from repro.core.variants import evaluate_strategy, train_for_strategy
+from repro.core.variants import (
+    NoTrainingSamples,
+    evaluate_strategy,
+    train_for_strategy,
+)
 from repro.hardware import (
     AreaModel,
     ProcessNodes,
@@ -137,43 +141,63 @@ def _sweep_key(spec: ExperimentSpec, train_idx, name: str) -> tuple:
     )
 
 
+def _train_strategy(
+    config, dataset, name: str, st, train_idx: list[int]
+) -> tuple:
+    """Train one sweep strategy's segmenter: ``(strategy, segmenter, rng)``.
+
+    A training split the strategy transmits no frame of is a spec error
+    naming ``training.train_indices`` (exit 2), not a traceback.
+    """
+    from repro.segmentation import ViTSegmenter
+
+    rng = strategy_rng(st.seed, name)
+    strategy = STRATEGIES.get(name)(st.compression, dataset)
+    segmenter = ViTSegmenter(config.vit, rng)
+    try:
+        train_for_strategy(
+            segmenter, strategy, dataset, train_idx, st.train_epochs, rng
+        )
+    except NoTrainingSamples:
+        raise SpecError(
+            "training.train_indices",
+            f"strategy {name!r} transmits no frame of sequences "
+            f"{list(train_idx)} to train on; add training sequences or "
+            f"frames",
+        ) from None
+    return strategy, segmenter, rng
+
+
 def _sweep_strategy_job(
-    config,
-    name: str,
-    compression: float,
-    train_epochs: int,
-    seed: int,
-    train_idx: list[int],
-    eval_idx: list[int],
-    use_gt_roi: bool,
+    config, name: str, st, train_idx: list[int], eval_idx: list[int]
 ):
     """Train + evaluate one strategy of a fanned-out sweep (worker side).
 
     Module-level so the session pool can pickle it.  Per-strategy RNG
     streams (:func:`strategy_rng`) are keyed by ``(seed, name)`` —
-    process-independent — and the engine's execution modes are bitwise
+    process-independent — and every lockstep width is bitwise
     equivalent, so the result is identical to the serial sweep's.
     Returns the trained triple *in its post-training RNG state* (the
     evaluation consumes a deep copy) so the parent can cache it exactly
-    as the in-process path does.
+    as the in-process path does.  A :class:`SpecError` comes back as
+    the result, so every backend delivers it intact.
     """
-    from repro.segmentation import ViTSegmenter
     from repro.synth import SyntheticEyeDataset
 
     dataset = SyntheticEyeDataset(config.dataset)
-    rng = strategy_rng(seed, name)
-    strategy = STRATEGIES.get(name)(compression, dataset)
-    segmenter = ViTSegmenter(config.vit, rng)
-    train_for_strategy(
-        segmenter, strategy, dataset, train_idx, train_epochs, rng
-    )
+    try:
+        strategy, segmenter, rng = _train_strategy(
+            config, dataset, name, st, train_idx
+        )
+    except SpecError as exc:
+        return exc
     evaluation = evaluate_strategy(
         strategy,
         segmenter,
         dataset,
         eval_idx,
         copy.deepcopy(rng),
-        use_gt_roi=use_gt_roi,
+        use_gt_roi=st.use_gt_roi,
     )
     return strategy, segmenter, rng, evaluation
 
@@ -189,7 +213,6 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     the parity tests pin this.  Cache hits always replay in-process.
     """
     from repro.sampling import STRATEGY_NAMES
-    from repro.segmentation import ViTSegmenter
     from repro.synth import SyntheticEyeDataset
 
     st = spec.strategy
@@ -214,20 +237,15 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
         ]
         futures = {
             n: execution.backend.submit(
-                _sweep_strategy_job,
-                config,
-                n,
-                st.compression,
-                st.train_epochs,
-                st.seed,
-                train_idx,
-                eval_idx,
-                st.use_gt_roi,
+                _sweep_strategy_job, config, n, st, train_idx, eval_idx
             )
             for n in missing
         }
         for n in missing:
-            strategy, segmenter, rng, evaluation = futures[n].result()
+            outcome = futures[n].result()
+            if isinstance(outcome, SpecError):
+                raise outcome
+            strategy, segmenter, rng, evaluation = outcome
             session.memo(
                 _sweep_key(spec, train_idx, n),
                 lambda triple=(strategy, segmenter, rng): triple,
@@ -244,17 +262,12 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
         if evaluation is None:
             key = _sweep_key(spec, train_idx, name)
 
-            def _train(name: str = name):
-                rng = strategy_rng(st.seed, name)
-                strategy = STRATEGIES.get(name)(st.compression, dataset)
-                segmenter = ViTSegmenter(config.vit, rng)
-                train_for_strategy(
-                    segmenter, strategy, dataset, train_idx, st.train_epochs,
-                    rng,
-                )
-                return strategy, segmenter, rng
-
-            strategy, segmenter, rng = session.memo(key, _train)
+            strategy, segmenter, rng = session.memo(
+                key,
+                lambda name=name: _train_strategy(
+                    config, dataset, name, st, train_idx
+                ),
+            )
             evaluation = evaluate_strategy(
                 strategy,
                 segmenter,
@@ -367,7 +380,7 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
 
 @register_workload("throughput")
 def run_throughput(session: Session, spec: ExperimentSpec) -> RunResult:
-    """Engine frames/sec: sequential vs batched vs sharded modes."""
+    """Engine frames/sec: width-1 vs full lockstep vs sharded."""
     pipeline = session.pipeline(spec)
     _, eval_idx = _split_indices(spec, pipeline.dataset)
     record = measure_throughput(

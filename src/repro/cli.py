@@ -12,7 +12,7 @@ Commands
 ``serve``        streaming multi-client serving with cross-client
                  micro-batching (``--workers N`` partitions the fleet
                  into scheduler replicas; see docs/serving.md)
-``throughput``   staged-engine frames/sec: sequential vs batched lockstep
+``throughput``   staged-engine frames/sec: width-1 vs full lockstep
                  (``--workers N`` also times the sharded multi-process mode)
 ``energy``       per-frame energy breakdown of the four variants
 ``latency``      tracking-latency breakdown of the four variants
@@ -317,7 +317,13 @@ def main(argv: list[str] | None = None) -> int:
     ) as session:
         if spec.workload in _TRAINING_WORKLOADS:
             print("training...")
-        result = session.run(spec)
+        try:
+            result = session.run(spec)
+        except SpecError as exc:
+            # A field only the data can prove unusable (validate()
+            # cannot see it coming), still named, still exit 2.
+            print(f"spec error: {exc}", file=sys.stderr)
+            return 2
     print(result.render_tables())
     trace_info = result.provenance.get("trace")
     if trace_info and "path" in trace_info:

@@ -343,9 +343,9 @@ class BlissCamPipeline:
     def _collect_evaluation(run: EngineRun) -> EvaluationResult:
         """Fold an engine run into accuracy + workload statistics.
 
-        Contexts arrive in sequence-major order from both execution modes,
+        Contexts arrive in sequence-major order at every lockstep width,
         so every downstream reduction sees the same operand order — the
-        property behind the batched == sequential bitwise guarantee.
+        property behind the width-independent bitwise guarantee.
         """
         stats = WorkloadStats()
         preds, truths = [], []

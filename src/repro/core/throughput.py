@@ -1,4 +1,4 @@
-"""Shared throughput measurement: sequential loop vs batched vs sharded.
+"""Shared throughput measurement: width-1 vs full lockstep vs sharded.
 
 One implementation of the warm-up / best-of-N timing / bitwise check /
 report-table logic, consumed by both ``repro.cli throughput`` and
@@ -64,12 +64,13 @@ def measure_throughput(
     allocator/scheduler noise a loaded machine adds on top — and the
     result reported for a mode is the one produced by its best repeat.
 
-    The sequential and batched modes run ``execution``'s lockstep
-    width in-process.  ``execution.workers >= 2`` additionally times the
-    sharded mode — the *production* sharded configuration: batched
-    kernels inside each worker process (``sharded_kernels`` records
-    this) over ``execution``'s backend and channel — and cross-checks it
-    bitwise against the in-process runs.  The record's
+    Both in-process modes run the one lockstep loop: ``sequential`` at
+    width 1 (each sequence alone, frame by frame) and ``batched`` at
+    ``execution.batch_size`` (``None``: the whole rank).
+    ``execution.workers >= 2`` additionally times the sharded mode —
+    lockstep at that width inside each worker process over
+    ``execution``'s backend and channel — and cross-checks it bitwise
+    against the in-process runs.  The record's
     ``transport.channel`` block reports what each dispatch shipped.
     """
     if not eval_indices:
@@ -80,10 +81,8 @@ def measure_throughput(
     for i in eval_indices:
         pipeline.dataset[i]
     warm = eval_indices[: min(2, len(eval_indices))]
-    sequential = replace(
-        execution, batched=False, workers=1, backend=None, channel=None
-    )
-    lockstep = replace(sequential, batched=True)
+    lockstep = replace(execution, workers=1, backend=None, channel=None)
+    sequential = replace(lockstep, batch_size=1)
     pipeline.evaluate(warm, execution=sequential)
     pipeline.evaluate(warm, execution=lockstep)
 
@@ -107,18 +106,13 @@ def measure_throughput(
         "stage_seconds_batched": _stage_seconds(bat_result),
     }
     if execution.workers >= 2:
-        # The production sharded configuration: batched kernels inside
-        # each worker (vectorized lockstep within a shard, shards over
-        # processes).  Sharding sequential kernels would measure pure
-        # dispatch overhead on single-core hosts instead of the mode
-        # anything actually runs.
-        sharded = replace(execution, batched=True)
         # Warm the pool's workers once so the timed section compares
         # steady-state dispatch, not the first fork (the cost a
         # persistent pool exists to amortize across run() calls).
-        pipeline.evaluate(warm, execution=sharded)
+        pipeline.evaluate(warm, execution=execution)
         shard_s, shard_result = _best_of(
-            lambda: pipeline.evaluate(eval_indices, execution=sharded), repeats
+            lambda: pipeline.evaluate(eval_indices, execution=execution),
+            repeats,
         )
         identical = identical and _same_results(seq_result, shard_result)
         record.update(
@@ -158,7 +152,7 @@ def throughput_tables(record: dict) -> list[Table]:
         f"{record['sequences']} sequences in lockstep)",
     )
     fps.add_row(
-        "sequential loop",
+        "sequential (width 1)",
         _fmt(record["sequential_fps"]),
         _fmt(record["sequential_s"] * 1e3),
     )

@@ -22,12 +22,17 @@ from repro.synth.dataset import SyntheticEyeDataset
 from repro.training.loop import train_segmentation
 
 __all__ = [
+    "NoTrainingSamples",
     "StrategyEvaluation",
     "make_strategy",
     "collect_sampled_dataset",
     "train_for_strategy",
     "evaluate_strategy",
 ]
+
+
+class NoTrainingSamples(ValueError):
+    """A strategy transmitted no frame of the training split."""
 
 
 @dataclass
@@ -39,6 +44,26 @@ class StrategyEvaluation:
     vertical: AngularErrorStats
     mean_compression: float
     frames: int
+
+    @classmethod
+    def from_run(cls, strategy_name: str, run) -> "StrategyEvaluation":
+        """Fold a strategy-graph :class:`~repro.engine.EngineRun`."""
+        preds, truths, compressions = [], [], []
+        for ctx in run.evaluated:
+            preds.append(ctx.gaze_pred)
+            truths.append(ctx.gaze_true)
+            if not ctx.seg_reused:
+                compressions.append(min(ctx.stats["compression"], 1e6))
+        horizontal, vertical = angular_errors(np.array(preds), np.array(truths))
+        return cls(
+            strategy_name=strategy_name,
+            horizontal=horizontal,
+            vertical=vertical,
+            mean_compression=(
+                float(np.mean(compressions)) if compressions else 1.0
+            ),
+            frames=len(preds),
+        )
 
 
 def make_strategy(name: str, compression: float, dataset=None) -> SamplingStrategy:
@@ -126,7 +151,7 @@ def train_for_strategy(
         if samples is None or strategy.stochastic:
             samples = collect_sampled_dataset(strategy, dataset, indices, rng)
         if not samples:
-            raise ValueError("strategy produced no training samples")
+            raise NoTrainingSamples("strategy produced no training samples")
         epoch_result = train_segmentation(
             segmenter, samples, epochs=1, rng=rng, lr=lr,
             batch_size=batch_size,
@@ -179,19 +204,4 @@ def evaluate_strategy(
     # worker->parent transfers scalar-sized).
     runner = strategy_runner(graph, retain_intermediates=False)
     run = runner.run([(i, dataset[i]) for i in eval_indices], execution)
-
-    preds, truths, compressions = [], [], []
-    for ctx in run.evaluated:
-        preds.append(ctx.gaze_pred)
-        truths.append(ctx.gaze_true)
-        if not ctx.seg_reused:
-            compressions.append(min(ctx.stats["compression"], 1e6))
-
-    horizontal, vertical = angular_errors(np.array(preds), np.array(truths))
-    return StrategyEvaluation(
-        strategy_name=strategy.name,
-        horizontal=horizontal,
-        vertical=vertical,
-        mean_compression=float(np.mean(compressions)) if compressions else 1.0,
-        frames=len(preds),
-    )
+    return StrategyEvaluation.from_run(strategy.name, run)

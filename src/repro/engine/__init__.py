@@ -4,9 +4,9 @@ The paper's system is a staged dataflow (eventification -> ROI prediction
 -> in-ROI sampling -> RLE/MIPI readout -> packed sparse-ViT segmentation
 -> gaze regression).  This package makes that structure executable: a
 :class:`Stage` protocol, a :class:`FrameContext` carrying one frame's
-intermediate products and timings, and a :class:`SequenceRunner` that
-executes stage graphs over batches of sequences — sequentially, in
-vectorized lockstep, or sharded over worker processes, all
+intermediate products, and a :class:`SequenceRunner` that executes
+stage graphs over batches of sequences in vectorized lockstep — at any
+width, in-process or sharded over worker processes, all
 bitwise-identical.
 
 ``BlissCamPipeline.evaluate``, ``core.variants.evaluate_strategy``, the

@@ -483,8 +483,9 @@ class Execution:
     """How one run executes: the only way execution settings reach the
     engine, training and serve fronts.
 
-    ``batched`` runs sequences in vectorized lockstep, at most
-    ``batch_size`` wide (``None``: the whole rank).  ``workers >= 2``
+    Sequences run in vectorized lockstep, at most ``batch_size`` wide
+    (``None``: the whole rank; ``1``: each sequence alone, frame by
+    frame).  ``workers >= 2``
     shards the work over that many worker processes, dispatched through
     ``backend`` with payloads published on ``channel``; either left
     ``None`` is opened for the dispatch and closed after it (see
@@ -493,10 +494,9 @@ class Execution:
     setting is bitwise-neutral: only speed changes.
 
     The value holds live resources, so it never crosses a process
-    boundary; worker entry points get plain flags instead.
+    boundary; worker entry points get the plain width instead.
     """
 
-    batched: bool = False
     batch_size: int | None = None
     workers: int = 1
     backend: ExecutorBackend | None = None

@@ -83,7 +83,7 @@ class SensorSpawnFactory:
     A plain class (not a closure) so sharded runners can pickle it to
     worker processes.  Runtime noise streams are keyed by
     ``(sensor_seed, seq_index)`` — order- and process-insensitive, so
-    sequential, lockstep and sharded execution draw identical randomness.
+    every lockstep width and sharding draws identical randomness.
     """
 
     sensor_template: Any
@@ -108,7 +108,7 @@ def tracking_runner(
 
     Each sequence gets a clone of the calibrated template chip whose
     runtime noise streams are keyed by ``(sensor_seed, seq_index)`` —
-    order-insensitive, so sequential, lockstep and sharded execution draw
+    order-insensitive, so every lockstep width and sharding draws
     identical randomness.
     """
     return SequenceRunner(
@@ -133,8 +133,8 @@ def build_strategy_graph(
     base seed and every sequence samples from its own
     ``strategy.spawn([base_seed, seq_index])`` stream (mirroring the
     sensor's spawn design).  Streams are keyed by sequence index, never
-    by execution order, so strategy graphs run sequentially, in lockstep,
-    or sharded with bitwise-identical results.
+    by execution order, so strategy graphs run at any lockstep width, in
+    process or sharded, with bitwise-identical results.
     """
     strategy_seed = int(rng.integers(2**32))
     return StageGraph(
@@ -144,8 +144,8 @@ def build_strategy_graph(
             SegmentOrReuseStage(segmenter),
             # Per-sequence fallback state, like the tracking graph: the
             # estimator's last-gaze fallback must not cross sequence
-            # boundaries or batched/sharded runs would diverge from the
-            # sequential reference.
+            # boundaries or results would depend on the lockstep width
+            # and the sharding.
             GazeRegressStage(gaze_estimator, per_sequence_state=True),
         ]
     )
@@ -157,8 +157,8 @@ def strategy_runner(
     """A runner for strategy graphs.
 
     Per-sequence strategy spawns (see :func:`build_strategy_graph`) make
-    sequences independent, so all three execution modes — sequential,
-    batched lockstep, and sharded — are available and bitwise-equivalent.
+    sequences independent, so every lockstep width and sharding is
+    available and bitwise-equivalent.
     Pass ``retain_intermediates=False`` when only the per-frame scalars
     (gaze, stats) are consumed, e.g. ``evaluate_strategy``.
     """

@@ -1,28 +1,28 @@
 """The sequence runner: executes a stage graph over batches of sequences.
 
-Three execution modes, picked by an :class:`~repro.engine.executors.
-Execution`, share one stage graph and one set of numeric kernels:
+One execution loop, *lockstep*: up to ``batch_size`` sequences advance
+together, and at each timestep every live sequence contributes one
+frame and each stage's ``process_batch`` handles the whole rank at once.
+An :class:`~repro.engine.executors.Execution` sets the two knobs:
 
-* **sequential** — the reference mode: sequences one after another, frames
-  in order, each stage's ``process`` per frame.
-* **batched** — up to ``batch_size`` sequences in *lockstep*: at each
-  timestep every live sequence contributes one frame and each stage's
-  ``process_batch`` handles the whole rank at once.
-* **sharded** — ``workers >= 2`` cuts the sequence rank into contiguous
-  shards, each run in a worker *process* with the sequential or batched
-  kernels.  Requires the graph, the state factory and the sequences to
-  be picklable — the canonical graphs keep their callables as plain
-  classes for exactly this reason.
+* ``batch_size`` — the lockstep width (``None``: the whole rank; ``1``
+  steps each sequence alone, frame by frame);
+* ``workers >= 2`` — cut the sequence rank into contiguous shards, each
+  run through the same loop in a worker *process*.  Requires the graph,
+  the state factory and the sequences to be picklable — the canonical
+  graphs keep their callables as plain classes for exactly this reason.
 
 Every sequence owns its sensor spawn and keeps all cross-frame state in
 its ``SequenceState`` (random streams are keyed by sequence index, never
-by execution order or process), so all modes produce bitwise-identical
-contexts — the engine test suite asserts this end-to-end.
+by execution order or process), and every stage kernel is
+batch-invariant, so all widths and shardings produce bitwise-identical
+contexts — the engine test suite pins this against a frozen per-row
+reference.
 
 Results come back as an :class:`EngineRun`: the completed frame contexts
-in *sequence-major* order (identical ordering in all modes, so
-downstream accuracy statistics are reduction-order independent) plus
-per-stage wall-clock timings for throughput/attribution reporting.
+in *sequence-major* order (identical for every execution, so downstream
+accuracy statistics are reduction-order independent) plus per-stage
+wall-clock timings for throughput/attribution reporting.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class EngineRun:
     contexts: list[FrameContext]
     stage_timings: dict[str, StageTiming]
     wall_seconds: float
-    batched: bool
+    #: Lockstep width the run used (``None``: the whole rank).
+    batch_size: int | None
     #: Worker processes the run was sharded over (1 = in-process).
     workers: int = 1
     #: Transport accounting for sharded runs (``None`` in-process):
@@ -100,7 +101,6 @@ def _default_state_factory(seq_index: int) -> SequenceState:
 def _execute_shard(
     runner_handle: ObjectHandle,
     shard_handle: ObjectHandle,
-    batched: bool,
     batch_size: int | None,
 ) -> tuple[list[FrameContext], dict[str, StageTiming]]:
     """Worker-side entry point: resolve handles, then run one shard.
@@ -119,11 +119,7 @@ def _execute_shard(
     runner = resolve_payload(runner_handle)
     shard = resolve_payload(shard_handle)
     timings = {name: StageTiming() for name in runner.graph.stage_names}
-    if batched:
-        contexts = runner._run_batched(shard, timings, batch_size)
-    else:
-        contexts = runner._run_sequential(shard, timings)
-    return contexts, timings
+    return runner._run_lockstep(shard, timings, batch_size), timings
 
 
 def contiguous_shards(items: list, n_shards: int) -> list[list]:
@@ -207,8 +203,8 @@ class SequenceRunner:
         """Run the graph over ``[(seq_index, sequence), ...]``.
 
         ``execution`` (see :class:`~repro.engine.executors.Execution`)
-        picks the kernels and the processes; the merged result is
-        bitwise-identical in every mode.  A sharded run cuts the rank
+        picks the lockstep width and the processes; the merged result
+        is bitwise-identical for every choice.  A sharded run cuts the rank
         into ``workers * STEAL_FACTOR`` contiguous shards so idle
         workers steal pending shards when sequence lengths are unequal;
         shard boundaries never affect results, only scheduling.  The
@@ -226,12 +222,10 @@ class SequenceRunner:
                 contexts, transport_info = self._run_sharded(
                     sequences, timings, live
                 )
-            elif live.batched:
-                contexts = self._run_batched(
+            else:
+                contexts = self._run_lockstep(
                     sequences, timings, live.batch_size
                 )
-            else:
-                contexts = self._run_sequential(sequences, timings)
         wall = time.perf_counter() - start  # repro: allow[REP102] run wall-time metric
         tracer = current_tracer()
         if tracer is not None:
@@ -244,7 +238,7 @@ class SequenceRunner:
                 wall_dur=wall,
                 sequences=len(sequences),
                 frames=len(contexts),
-                batched=live.batched,
+                batch_size=live.batch_size,
                 workers=live.workers,
             )
             for name, timing in timings.items():
@@ -262,7 +256,7 @@ class SequenceRunner:
             contexts=contexts,
             stage_timings=timings,
             wall_seconds=wall,
-            batched=live.batched,
+            batch_size=live.batch_size,
             workers=live.workers,
             transport=transport_info,
         )
@@ -274,8 +268,7 @@ class SequenceRunner:
         live: Execution,
     ) -> tuple[list[FrameContext], dict]:
         # Contiguous balanced shards: concatenating shard outputs in shard
-        # order reproduces the sequence-major ordering of the in-process
-        # modes exactly.
+        # order reproduces the in-process sequence-major ordering exactly.
         shards = contiguous_shards(
             sequences, min(len(sequences), live.workers * STEAL_FACTOR)
         )
@@ -293,7 +286,6 @@ class SequenceRunner:
                 _execute_shard,
                 runner_handle,
                 handle,
-                live.batched,
                 live.batch_size,
             )
             for handle in shard_handles
@@ -333,35 +325,11 @@ class SequenceRunner:
                 total.calls += timing.calls
         return contexts, transport_info
 
-    def _run_sequential(self, sequences, timings) -> list[FrameContext]:
-        contexts: list[FrameContext] = []
-        for seq_index, seq in sequences:
-            state = self.state_factory(seq_index)
-            for stage in self.graph:
-                stage.start_sequence(state)
-            for ctx in self._contexts_for(seq_index, seq):
-                for stage in self.graph:
-                    if ctx.skipped:
-                        break
-                    t0 = time.perf_counter()  # repro: allow[REP102] stage timing attribution
-                    stage.process(ctx, state)
-                    dt = time.perf_counter() - t0  # repro: allow[REP102] stage timing attribution
-                    timing = timings[stage.name]
-                    timing.seconds += dt
-                    timing.frames += 1
-                    timing.calls += 1
-                    ctx.stage_times[stage.name] = dt
-                if not self.retain_intermediates:
-                    ctx.release_intermediates()
-                contexts.append(ctx)
-        return contexts
-
-    def _run_batched(
+    def _run_lockstep(
         self, sequences, timings, batch_size: int | None
     ) -> list[FrameContext]:
         # Lanes are keyed by *position* in ``sequences``, not by sequence
-        # index — a repeated index is two independent lanes (exactly as
-        # the sequential mode treats it).
+        # index — a repeated index is two independent lanes.
         if not sequences:
             return []
         lanes: dict[int, list[FrameContext]] = {}
@@ -398,11 +366,8 @@ class SequenceRunner:
                     timing.seconds += dt
                     timing.frames += len(ctxs)
                     timing.calls += 1
-                    share = dt / len(ctxs)
-                    for c in ctxs:
-                        c.stage_times[stage.name] = share
                 if not self.retain_intermediates:
                     for ctx, _ in rank:
                         ctx.release_intermediates()
-        # Sequence-major order, exactly as the sequential mode emits.
+        # Sequence-major order, whatever the width.
         return [ctx for pos in range(len(sequences)) for ctx in lanes[pos]]

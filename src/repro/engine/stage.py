@@ -6,11 +6,13 @@ Stages are *shared* across sequences: all cross-frame state lives in the
 :class:`~repro.engine.context.SequenceState` handed to every call, so a
 single stage instance can serve many sequences in lockstep.
 
-``process`` handles one frame; ``process_batch`` handles the frames of
-several sequences at the same timestep and defaults to a per-frame loop —
-stages override it only when they have a genuinely vectorized
-implementation (which must stay *bitwise identical* to the scalar path;
-the engine test suite enforces this end-to-end).
+``process_batch`` is a stage's one kernel: it handles the frames of
+several sequences at the same timestep, one per sequence.  A run of
+width one (``Execution(batch_size=1)``) steps each sequence alone.
+Every kernel is batch-invariant — a frame's products never depend on
+which other frames share its call — and the engine test suite pins each
+one bitwise against the frozen per-row reference in ``tests/engine/
+per_row.py``.
 """
 
 from __future__ import annotations
@@ -31,22 +33,15 @@ class Stage:
     def start_sequence(self, seq: SequenceState) -> None:
         """Reset/initialize per-sequence state before frame 0."""
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        """Process one frame.  Never called with ``ctx.skipped`` set."""
-        raise NotImplementedError
-
     def process_batch(
         self,
         ctxs: Sequence[FrameContext],
         seqs: Sequence[SequenceState],
     ) -> None:
-        """Process one lockstep timestep across several sequences.
-
-        The default simply loops; override with a vectorized
-        implementation that produces bitwise-identical contexts.
-        """
-        for ctx, seq in zip(ctxs, seqs):
-            self.process(ctx, seq)
+        """Process one lockstep timestep: ``ctxs[i]`` is the next frame of
+        the sequence whose state is ``seqs[i]``.  Never called with a
+        ``skipped`` context."""
+        raise NotImplementedError
 
 
 class StageGraph:

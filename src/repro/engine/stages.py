@@ -23,9 +23,14 @@ Strategy graph (Fig. 12/15 harness, extracted from
 ``SegmentOrReuseStage`` segmentation with SKIP-style reuse of the
                         previous map
 
-Scalar ``process`` paths are faithful transcriptions of the original
-loops; vectorized ``process_batch`` overrides must stay bitwise identical
-(enforced by the engine equivalence tests).
+Each stage has one kernel, ``process_batch``, over a lockstep rank of
+frames.  Work that stacks (comparator decisions, popcounts, the packed
+ViT, centroid sums) runs once per rank; per-sequence random streams and
+the few inputs without a batched seam (plain-callable ROI predictors,
+estimators without ``predict_from_centroid``, conv segmenters still in
+training mode) run per row inside the same kernel.  Every kernel is
+pinned bitwise against the frozen per-row bodies in
+``tests/engine/per_row.py``.
 """
 
 from __future__ import annotations
@@ -64,16 +69,9 @@ class EventifyStage(Stage):
 
     name = "eventify"
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        event_map = seq.sensor.eventify_step(ctx.frame)
-        if event_map is None:
-            ctx.skipped = True  # bootstrap frame: nothing to difference yet
-        else:
-            ctx.event_map = event_map
-
     def process_batch(self, ctxs, seqs) -> None:
         # Per-sensor noise streams must be drawn from each sequence's own
-        # generator (that's what makes lockstep == sequential bitwise);
+        # generator (that's what makes any lockstep width bitwise equal);
         # the pure comparator decision vectorizes across the rank.
         live: list[tuple[FrameContext, np.ndarray, np.ndarray, float]] = []
         for ctx, seq in zip(ctxs, seqs):
@@ -107,27 +105,22 @@ class ROIPredictStage(Stage):
         self.height = height
         self.width = width
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        box_norm = order_box(
-            np.asarray(self.predictor(ctx.event_map, seq.prev_seg_pred))
-        )
-        ctx.roi_box_norm = box_norm
-        ctx.roi_box = box_to_pixels(box_norm, self.height, self.width)
-
     def process_batch(self, ctxs, seqs) -> None:
         # Predictors exposing ``predict_batch`` guarantee row-independent
         # forwards (the conv is a per-sample GEMM, the FC tail runs
-        # per-row), so stacking the rank is bitwise-identical to the
-        # per-frame loop.  Plain callables fall back to that loop.
+        # per-row), so stacking the rank is bitwise-identical to calling
+        # them frame by frame.  Plain callables are called per row.
         batch = getattr(self.predictor, "predict_batch", None)
         if batch is None:
-            for ctx, seq in zip(ctxs, seqs):
-                self.process(ctx, seq)
-            return
-        boxes = batch(
-            [ctx.event_map for ctx in ctxs],
-            [seq.prev_seg_pred for seq in seqs],
-        )
+            boxes = [
+                self.predictor(ctx.event_map, seq.prev_seg_pred)
+                for ctx, seq in zip(ctxs, seqs)
+            ]
+        else:
+            boxes = batch(
+                [ctx.event_map for ctx in ctxs],
+                [seq.prev_seg_pred for seq in seqs],
+            )
         for ctx, box in zip(ctxs, boxes):
             box_norm = order_box(np.asarray(box))
             ctx.roi_box_norm = box_norm
@@ -155,39 +148,32 @@ class ROIReuseStage(Stage):
         self.inner.start_sequence(seq)
         seq.slots[self.name] = ROIReusePolicy(window=self.window)
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        policy: ROIReusePolicy = seq.slots[self.name]
-        if self.window > 1 and not policy.should_predict():
+    def process_batch(self, ctxs, seqs) -> None:
+        # Lanes whose policy is due predict as one inner rank; the rest
+        # replay their cached box.  With ``window == 1`` every lane is
+        # due every frame.
+        due: list[tuple[FrameContext, SequenceState]] = []
+        for ctx, seq in zip(ctxs, seqs):
+            policy: ROIReusePolicy = seq.slots[self.name]
+            if policy.should_predict():
+                due.append((ctx, seq))
+                continue
             box_norm = order_box(np.asarray(policy.current()))
             ctx.roi_box_norm = box_norm
             ctx.roi_box = box_to_pixels(box_norm, *ctx.frame.shape)
             ctx.roi_reused = True
             policy.tick()
-        else:
-            self.inner.process(ctx, seq)
-            policy.update(ctx.roi_box_norm)
-
-    def process_batch(self, ctxs, seqs) -> None:
-        if self.window == 1:
-            # Every lane predicts every frame, so the whole rank can go to
-            # the inner stage's batched path in one call.
-            self.inner.process_batch(ctxs, seqs)
-            for ctx, seq in zip(ctxs, seqs):
-                seq.slots[self.name].update(ctx.roi_box_norm)
-        else:
-            # Lanes disagree on predict-vs-reuse; the per-frame state
-            # machine is cheap, so fall back to the scalar loop.
-            for ctx, seq in zip(ctxs, seqs):
-                self.process(ctx, seq)
+        if not due:
+            return
+        self.inner.process_batch([c for c, _ in due], [s for _, s in due])
+        for ctx, seq in due:
+            seq.slots[self.name].update(ctx.roi_box_norm)
 
 
 class SampleStage(Stage):
     """SRAM power-up RNG sampling decisions restricted to the ROI."""
 
     name = "sample"
-
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        ctx.sample_mask = seq.sensor.sampling_step(ctx.roi_box)
 
     def process_batch(self, ctxs, seqs) -> None:
         # Power-up bits must come from each sequence's own stream, but the
@@ -206,19 +192,6 @@ class ReadoutStage(Stage):
 
     name = "readout"
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        sensor = seq.sensor
-        codes, readout, tokens, stats = sensor.readout_step(
-            ctx.frame, ctx.sample_mask, ctx.roi_box
-        )
-        ctx.readout = readout
-        ctx.rle_stats = stats
-        # Host side: the faithful transmission round-trip, via the
-        # sensor's one decode implementation.
-        ctx.sparse_frame, ctx.mask = sensor.host_decode_tokens(
-            tokens, ctx.roi_box
-        )
-
     def process_batch(self, ctxs, seqs) -> None:
         # The RLE round-trip is lossless by construction (tested), so the
         # batched host skips the per-token python scan: the sensor's
@@ -228,7 +201,7 @@ class ReadoutStage(Stage):
         # itself stays per-row (held frame, noise and SRAM streams are
         # per-sequence sensor state); the host-side rebuild stacks: the
         # int64->float64 cast is exact and the divide/multiply are
-        # elementwise, so each row matches the scalar rebuild.
+        # elementwise, so each row matches a one-frame rebuild.
         code_rows = []
         for ctx, seq in zip(ctxs, seqs):
             codes, readout, stats = seq.sensor.readout_step_direct(
@@ -256,11 +229,6 @@ class SegmentStage(Stage):
     def __init__(self, segmenter):
         self.segmenter = segmenter
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        seg = self.segmenter.predict_packed(ctx.sparse_frame, ctx.mask)
-        ctx.seg_pred = seg
-        seq.prev_seg_pred = seg
-
     def process_batch(self, ctxs, seqs) -> None:
         frames = np.stack([c.sparse_frame for c in ctxs])
         masks = np.stack([c.mask for c in ctxs])
@@ -275,7 +243,8 @@ class GazeRegressStage(Stage):
 
     The fitted estimator keeps a last-prediction fallback for frames where
     the pupil is occluded; with ``per_sequence_state`` the fallback is
-    tracked per sequence (required for lockstep == sequential equality),
+    tracked per sequence (required for results independent of the
+    lockstep width),
     otherwise the estimator's own cross-sequence state is used (the
     historical behaviour of the strategy harness).
     """
@@ -290,37 +259,29 @@ class GazeRegressStage(Stage):
         if self.per_sequence_state:
             seq.slots[self.name] = self.estimator.INITIAL_FALLBACK
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        est = self.estimator
-        if self.per_sequence_state:
-            est.fallback_state = seq.slots[self.name]
-            ctx.gaze_pred = est.predict(ctx.seg_pred)
-            seq.slots[self.name] = est.fallback_state
-        else:
-            ctx.gaze_pred = est.predict(ctx.seg_pred)
-
     def process_batch(self, ctxs, seqs) -> None:
         # The O(B*H*W) centroid extraction stacks across the rank
         # (integer index sums — exact, see pupil_centroid_batch); the
         # tiny per-row regression tail runs in rank order, which also
-        # threads the fallback state exactly as the scalar loop does —
-        # both per-sequence slots and the shared-estimator regime.
+        # threads the fallback state through the per-sequence slots or
+        # the shared estimator.  Estimators without the centroid seam
+        # regress each row's map whole.
         est = self.estimator
         from_centroid = getattr(est, "predict_from_centroid", None)
         if from_centroid is None:
-            for ctx, seq in zip(ctxs, seqs):
-                self.process(ctx, seq)
-            return
-        centroids = pupil_centroid_batch(
-            np.stack([ctx.seg_pred for ctx in ctxs])
-        )
-        for ctx, seq, centroid in zip(ctxs, seqs, centroids):
+            inputs, predict = [ctx.seg_pred for ctx in ctxs], est.predict
+        else:
+            inputs = pupil_centroid_batch(
+                np.stack([ctx.seg_pred for ctx in ctxs])
+            )
+            predict = from_centroid
+        for ctx, seq, x in zip(ctxs, seqs, inputs):
             if self.per_sequence_state:
                 est.fallback_state = seq.slots[self.name]
-                ctx.gaze_pred = from_centroid(centroid)
+                ctx.gaze_pred = predict(x)
                 seq.slots[self.name] = est.fallback_state
             else:
-                ctx.gaze_pred = from_centroid(centroid)
+                ctx.gaze_pred = predict(x)
 
 
 class StatsCollectorStage(Stage):
@@ -354,10 +315,6 @@ class StatsCollectorStage(Stage):
         token_mask = masks.reshape(b, h // p, p, w // p, p).any(axis=(2, 4))
         return token_mask.sum(axis=(1, 2))
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        counts = self._token_counts(ctx.mask[None])
-        self._record(ctx, int(counts[0]))
-
     def process_batch(self, ctxs, seqs) -> None:
         counts = self._token_counts(np.stack([c.mask for c in ctxs]))
         for ctx, count in zip(ctxs, counts):
@@ -375,19 +332,10 @@ class EventifyPairStage(Stage):
     def __init__(self, sigma: float | None = None):
         self.sigma = sigma
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        if ctx.prev_frame is None:
-            ctx.skipped = True  # no pair at t = 0
-            return
-        if self.sigma is None:
-            ctx.event_map = eventify(ctx.prev_frame, ctx.frame)
-        else:
-            ctx.event_map = eventify(ctx.prev_frame, ctx.frame, sigma=self.sigma)
-
     def process_batch(self, ctxs, seqs) -> None:
         # eventify is purely elementwise, so one stacked call over the
         # rows that have a frame pair is bitwise row-equal; rows at
-        # t = 0 mark themselves skipped exactly like the scalar path.
+        # t = 0 have no pair and mark themselves skipped.
         live: list[FrameContext] = []
         for ctx in ctxs:
             if ctx.prev_frame is None:
@@ -413,8 +361,8 @@ class StrategySampleStage(Stage):
     sequence gets its own ``strategy.spawn([seed, seq_index])`` — a clone
     with fresh per-sequence adaptive state and an RNG stream keyed by
     sequence index (mirroring the sensor's spawn design).  Keying by
-    index rather than execution order is what makes sequential, lockstep
-    and sharded runs draw identical randomness.
+    index rather than execution order is what makes every lockstep width
+    and sharding draw identical randomness.
     """
 
     name = "strategy_sample"
@@ -426,18 +374,6 @@ class StrategySampleStage(Stage):
 
     def start_sequence(self, seq: SequenceState) -> None:
         seq.slots[self.name] = self.strategy.spawn([self.seed, seq.seq_index])
-
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        strategy = seq.slots[self.name]
-        roi_box = ctx.gt_box if self.use_gt_roi else None
-        decision = strategy.sample(
-            ctx.frame, ctx.event_map, roi_box, strategy.rng
-        )
-        ctx.mask = decision.mask
-        ctx.sparse_frame = decision.sparse_frame
-        ctx.roi_box = decision.roi_box
-        ctx.reuse_previous = decision.reuse_previous
-        ctx.stats["compression"] = decision.compression
 
     def process_batch(self, ctxs, seqs) -> None:
         # One template-level sample_batch call: the per-strategy kernels
@@ -470,29 +406,19 @@ class SegmentOrReuseStage(Stage):
     def __init__(self, segmenter):
         self.segmenter = segmenter
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        if ctx.reuse_previous and seq.prev_seg_pred is not None:
-            ctx.seg_pred = seq.prev_seg_pred
-            ctx.seg_reused = True
-        else:
-            ctx.seg_pred = self.segmenter.predict(ctx.sparse_frame, ctx.mask)
-        seq.prev_seg_pred = ctx.seg_pred
-
     def process_batch(self, ctxs, seqs) -> None:
         # Split the rank: reuse rows copy their sequence's previous map,
-        # compute rows run one stacked dense forward.  The scalar
-        # reference is the *dense* predict (not the packed ViT path), so
-        # the batched side goes through each backend's dense
-        # predict_batch — row-independent for the ViT (fixed token
-        # grid) and for the conv nets in eval mode.  Segmenters without
-        # a batched forward, or still in training mode (where batch norm
-        # couples rows through batch statistics), take the scalar loop.
+        # compute rows run one stacked dense forward through each
+        # backend's predict_batch — row-independent for the ViT (fixed
+        # token grid) and for the conv nets in eval mode, so equal to the
+        # dense per-frame predict.  Segmenters without a batched forward,
+        # or still in training mode (where batch norm couples rows
+        # through batch statistics), predict row by row.
         compute: list[tuple[FrameContext, SequenceState]] = []
         for ctx, seq in zip(ctxs, seqs):
             if ctx.reuse_previous and seq.prev_seg_pred is not None:
                 ctx.seg_pred = seq.prev_seg_pred
                 ctx.seg_reused = True
-                seq.prev_seg_pred = ctx.seg_pred
             else:
                 compute.append((ctx, seq))
         if not compute:
@@ -502,13 +428,15 @@ class SegmentOrReuseStage(Stage):
         if batch is None or (
             requires_eval and getattr(self.segmenter, "training", False)
         ):
-            for ctx, seq in compute:
-                ctx.seg_pred = self.segmenter.predict(ctx.sparse_frame, ctx.mask)
-                seq.prev_seg_pred = ctx.seg_pred
-            return
-        frames = np.stack([ctx.sparse_frame for ctx, _ in compute])
-        masks = np.stack([ctx.mask for ctx, _ in compute])
-        segs = batch(frames, masks)
-        for i, (ctx, seq) in enumerate(compute):
-            ctx.seg_pred = segs[i]
-            seq.prev_seg_pred = segs[i]
+            segs = [
+                self.segmenter.predict(ctx.sparse_frame, ctx.mask)
+                for ctx, _ in compute
+            ]
+        else:
+            segs = batch(
+                np.stack([ctx.sparse_frame for ctx, _ in compute]),
+                np.stack([ctx.mask for ctx, _ in compute]),
+            )
+        for (ctx, seq), seg in zip(compute, segs):
+            ctx.seg_pred = seg
+            seq.prev_seg_pred = seg

@@ -114,8 +114,8 @@ class BlissCamSensor:
         (an int or a sequence of ints).  The staged execution engine uses
         one spawn per evaluated sequence so that sequences draw from
         independent, order-insensitive noise streams — the property that
-        makes batched lockstep execution bitwise-identical to the
-        sequential loop.
+        makes every lockstep width bitwise-identical to stepping each
+        sequence alone.
         """
         import copy
 

@@ -106,8 +106,8 @@ class SamplingStrategy:
         state (:meth:`_reset_state`) and the random stream keyed by
         ``seed_key`` — are independent.  The staged engine spawns one
         clone per evaluated sequence, keyed by sequence index, which is
-        what lets strategy graphs run batched and sharded bitwise-equal
-        to the sequential loop.
+        what lets strategy graphs run at any lockstep width and sharded,
+        bitwise-equal to stepping each sequence alone.
         """
         key = list(seed_key) if np.iterable(seed_key) else [int(seed_key)]
         clone = copy.copy(self)
@@ -141,8 +141,8 @@ class SamplingStrategy:
         sparse-frame math across the rank but must draw any randomness
         per-row from each spawn's *own* generator, in rank order, so
         every sequence's stream consumes exactly what the scalar path
-        would — that invariant is what keeps sequential, lockstep and
-        sharded execution bitwise identical.  The base implementation is
+        would — that invariant is what keeps every lockstep width and
+        sharding bitwise identical.  The base implementation is
         the per-row reference the overrides are pinned against.
         """
         return [

@@ -10,7 +10,7 @@ walks the virtual clock.  Each tick it
 3. **dispatches** up to ``max_batch`` queued frames as one cross-client
    micro-batch through the tracking stage graph's ``process_batch``
    kernels — the same vectorized kernels the offline engine's lockstep
-   mode uses.  Every client keeps its own
+   runner uses.  Every client keeps its own
    :class:`~repro.engine.context.SequenceState` (spawned sensor, fed-back
    segmentation, gaze fallback), and the kernels are bitwise
    batch-invariant, so a client's outputs are identical no matter which
@@ -154,7 +154,6 @@ class Scheduler:
         slo: SLOModel,
         max_batch: int | None = None,
         queue_capacity: int | None = None,
-        micro_batch: bool = True,
     ):
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1: {max_batch}")
@@ -165,7 +164,6 @@ class Scheduler:
         self.slo = slo
         self.max_batch = max_batch
         self.queue_capacity = queue_capacity
-        self.micro_batch = micro_batch
         self._states: dict[int, SequenceState] = {}
 
     # -- client admission -----------------------------------------------------
@@ -269,23 +267,12 @@ class Scheduler:
             for job in jobs
         ]
         states = [self._state_for(job.client_id) for job in jobs]
-        if self.micro_batch:
-            rank = list(zip(ctxs, states))
-            for stage in self.graph:
-                live = [(c, s) for c, s in rank if not c.skipped]
-                if not live:
-                    break
-                stage.process_batch(
-                    [c for c, _ in live], [s for _, s in live]
-                )
-        else:
-            # The per-client-sequential baseline: same kernels, one frame
-            # at a time (what a naive per-stream serving loop would do).
-            for ctx, state in zip(ctxs, states):
-                for stage in self.graph:
-                    if ctx.skipped:
-                        break
-                    stage.process(ctx, state)
+        rank = list(zip(ctxs, states))
+        for stage in self.graph:
+            live = [(c, s) for c, s in rank if not c.skipped]
+            if not live:
+                break
+            stage.process_batch([c for c, _ in live], [s for _, s in live])
         for job, ctx in zip(jobs, ctxs):
             wait = tick - job.tick
             if ctx.skipped:
@@ -336,7 +323,6 @@ def _run_replica(
     dataset_cfg,
     scenario,
     slo: SLOModel,
-    micro_batch: bool,
     client_ids: list[int],
 ) -> tuple[Telemetry, list, float]:
     """Run one scheduler replica over a client partition.
@@ -362,7 +348,6 @@ def _run_replica(
         slo,
         max_batch=scenario.max_batch,
         queue_capacity=scenario.queue_capacity,
-        micro_batch=micro_batch,
     )
     start = time.perf_counter()  # repro: allow[REP102] wall_seconds metric (non-deterministic by contract)
     gaze_log = scheduler.run(arrivals, telemetry)
@@ -374,8 +359,8 @@ def _serve_partition(bundle_handle, client_ids: list[int]):
     """Worker-side entry point: one scheduler replica.
 
     The replica-invariant bundle — graph, state factory (carrying the
-    calibrated sensor template), dataset config, scenario, SLO model and
-    micro-batch flag — is published once per serve run and ships as one
+    calibrated sensor template), dataset config, scenario and SLO model
+    — is published once per serve run and ships as one
     tiny handle; only the partition's client ids travel per dispatch.
     Workers resolve the bundle through the digest-keyed payload cache,
     so a persistent pool serving repeated scenarios skips the
@@ -391,17 +376,14 @@ def simulate_serving(
     dataset_cfg,
     scenario,
     slo: SLOModel | None = None,
-    micro_batch: bool = True,
     execution: Execution = Execution(),
     client_ids: list[int] | None = None,
 ) -> ServeRun:
     """Serve ``scenario``'s client fleet through a tracking stage graph.
 
     ``scenario`` is a :class:`ServeScenario` or anything field-compatible
-    (the spec's ``execution.serve`` section).  ``micro_batch=False``
-    dispatches frames one at a time — the per-client-sequential baseline
-    the serving benchmark compares against; it is the only batching
-    knob here (``execution``'s lockstep fields do not apply).
+    (the spec's ``execution.serve`` section); its ``max_batch`` bounds
+    each dispatch (``execution``'s lockstep width does not apply).
     ``execution.workers >= 2`` partitions the fleet into that many
     independent scheduler replicas executed in worker processes (see
     :class:`~repro.engine.executors.Execution`).  Telemetry latencies
@@ -416,7 +398,7 @@ def simulate_serving(
         )
     if client_ids is None:
         client_ids = list(range(scenario.num_clients))
-    bundle = (graph, state_factory, dataset_cfg, scenario, slo, micro_batch)
+    bundle = (graph, state_factory, dataset_cfg, scenario, slo)
     with sharding(execution, len(client_ids)) as live:
         if live.backend is None:
             telemetry, gaze_log, wall = _run_replica(*bundle, client_ids)

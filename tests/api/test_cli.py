@@ -104,6 +104,25 @@ class TestRunCommand:
         )
         assert main(["run", str(spec_path)]) == 2
         assert "training.train_indices" in capsys.readouterr().err
+        # A strategy that transmits no training frame (SKIP at 1x on
+        # 1 x 3 frames) only shows up mid-sweep: still exit 2, naming
+        # the split and the strategy, in-process and fanned out.
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "workload": "strategy_sweep",
+                    "dataset": {"num_sequences": 2, "frames_per_sequence": 3},
+                    "strategy": {"compression": 1.0, "train_epochs": 1},
+                    "training": {"train_indices": [0]},
+                    "execution": {"eval_indices": [1], "backend": "in_process"},
+                }
+            )
+        )
+        for overrides in ([], ["--workers", "2", "--backend", "process_pool"]):
+            assert main(["run", str(spec_path), *overrides]) == 2
+            err = capsys.readouterr().err
+            assert "training.train_indices" in err
+            assert "'Skip'" in err
 
     def test_unknown_field_exits_2_with_field_name(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"

@@ -111,8 +111,9 @@ class TestSystemConfig:
 class Probe(Stage):
     name = "probe"
 
-    def process(self, ctx, seq):
-        ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
+    def process_batch(self, ctxs, seqs):
+        for ctx in ctxs:
+            ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
 
 
 class Seq:
@@ -244,6 +245,16 @@ class TestBackends:
         with Session() as session:
             assert session.executor(4, backend="in_process") is None
             assert session.stats()["pools_created"] == 0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_execution_width_is_batch_size(self, batched, batch_size):
+        # The legacy ``batched`` flag no longer picks the width.
+        spec = ExperimentSpec.from_dict(
+            {"execution": {"batched": batched, "batch_size": batch_size}}
+        )
+        with Session() as session:
+            assert session.execution(spec) == Execution(batch_size=batch_size)
 
     def test_each_backend_kind_gets_its_own_executor(self):
         with Session() as session:

@@ -1,8 +1,9 @@
-"""Engine core tests: graph construction, context invariants, runner modes."""
+"""Engine core tests: graph construction, context invariants, the runner."""
 
 import numpy as np
 import pytest
 
+from per_row import evaluate_per_row
 from repro.core import BlissCamPipeline, ci
 from repro.engine import (
     EventifyStage,
@@ -81,7 +82,7 @@ class TestStageGraph:
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
             SequenceRunner([EventifyStage()]).run(
-                [], Execution(batched=True, batch_size=0)
+                [], Execution(batch_size=0)
             )
 
 
@@ -107,9 +108,12 @@ class TestFrameContextInvariants:
         assert len(run.evaluated) == 7
         for ctx in run.contexts:
             ctx.validate()
+        # every stage timed once per evaluated frame
+        assert set(run.stage_timings) == set(graph.stage_names)
+        for name in graph.stage_names[1:]:
+            assert run.stage_timings[name].frames == len(run.evaluated)
         for ctx in run.evaluated:
-            # every stage timed, ROI box well-formed, gaze emitted
-            assert set(ctx.stage_times) == set(graph.stage_names)
+            # ROI box well-formed, gaze emitted
             assert ctx.gaze_pred is not None
             assert set(ctx.stats) == {
                 "roi_fraction",
@@ -146,7 +150,7 @@ class TestRunnerExecution:
         class Boom(Stage):
             name = "boom"
 
-            def process(self, ctx, seq):
+            def process_batch(self, ctxs, seqs):
                 raise RuntimeError("stage failure")
 
         class Seq:
@@ -162,8 +166,9 @@ class TestRunnerExecution:
         class Probe(Stage):
             name = "probe"
 
-            def process(self, ctx, seq):
-                seen.append((seq.seq_index, ctx.t))
+            def process_batch(self, ctxs, seqs):
+                for ctx, seq in zip(ctxs, seqs):
+                    seen.append((seq.seq_index, ctx.t))
 
         class Seq:
             frames = np.zeros((3, 4, 4))
@@ -171,7 +176,9 @@ class TestRunnerExecution:
         def factory(i):
             return SequenceState(seq_index=i)
 
-        SequenceRunner([Probe()], factory).run([(5, Seq()), (9, Seq())])
+        SequenceRunner([Probe()], factory).run(
+            [(5, Seq()), (9, Seq())], Execution(batch_size=1)
+        )
         assert seen == [(5, 0), (5, 1), (5, 2), (9, 0), (9, 1), (9, 2)]
 
     def test_batched_lockstep_handles_unequal_lengths(self):
@@ -183,18 +190,13 @@ class TestRunnerExecution:
             def process_batch(self, ctxs, seqs):
                 order.append([(c.seq_index, c.t) for c in ctxs])
 
-            def process(self, ctx, seq):  # pragma: no cover
-                raise AssertionError("batched run must use process_batch")
-
         class Short:
             frames = np.zeros((2, 4, 4))
 
         class Long:
             frames = np.zeros((4, 4, 4))
 
-        run = SequenceRunner([Probe()]).run(
-            [(0, Short()), (1, Long())], Execution(batched=True)
-        )
+        run = SequenceRunner([Probe()]).run([(0, Short()), (1, Long())])
         assert order == [
             [(0, 0), (1, 0)],
             [(0, 1), (1, 1)],
@@ -208,17 +210,15 @@ class TestRunnerExecution:
 
     def test_empty_sequence_list_is_symmetric(self):
         runner = SequenceRunner([EventifyStage()])
-        for batched in (False, True):
-            run = runner.run([], Execution(batched=batched))
+        for batch_size in (1, None):
+            run = runner.run([], Execution(batch_size=batch_size))
             assert run.contexts == []
             assert run.evaluated == []
 
     def test_batch_size_chunks_the_rank(self, trained_pipeline):
-        full = trained_pipeline.evaluate(
-            [2, 3], execution=Execution(batched=True)
-        )
+        full = trained_pipeline.evaluate([2, 3])
         chunked = trained_pipeline.evaluate(
-            [2, 3], execution=Execution(batched=True, batch_size=1)
+            [2, 3], execution=Execution(batch_size=1)
         )
         assert np.array_equal(full.predictions, chunked.predictions)
 
@@ -227,10 +227,8 @@ class TestRunnerExecution:
     ):
         """A repeated index must be two lanes, not one double-processed
         lane (regression: lanes used to be keyed by sequence index)."""
-        seq_res = trained_pipeline.evaluate([2, 2, 3])
-        bat_res = trained_pipeline.evaluate(
-            [2, 2, 3], execution=Execution(batched=True)
-        )
+        seq_res = evaluate_per_row(trained_pipeline, [2, 2, 3])
+        bat_res = trained_pipeline.evaluate([2, 2, 3])
         assert np.array_equal(seq_res.predictions, bat_res.predictions)
         assert seq_res.stats.transmitted_bytes == bat_res.stats.transmitted_bytes
         # Both copies of sequence 2 ran identical spawned streams.
@@ -246,10 +244,11 @@ class TestRunnerExecution:
         class Mark(Stage):
             name = "mark"
 
-            def process(self, ctx, seq):
-                ctx.event_map = np.ones(ctx.frame.shape, dtype=bool)
-                ctx.gaze_pred = (1.0, 2.0)
-                ctx.stats = {"x": 1}
+            def process_batch(self, ctxs, seqs):
+                for ctx in ctxs:
+                    ctx.event_map = np.ones(ctx.frame.shape, dtype=bool)
+                    ctx.gaze_pred = (1.0, 2.0)
+                    ctx.stats = {"x": 1}
 
         class Seq:
             frames = np.zeros((2, 4, 4))

@@ -2,9 +2,9 @@
 
 Three independent properties are pinned down, each exactly:
 
-1. **batched == sequential** — the vectorized lockstep mode must produce
-   bitwise-identical ``EvaluationResult`` contents to the sequential
-   reference mode (the PR acceptance bar).
+1. **lockstep == per-row** — the engine's lockstep kernels must produce
+   bitwise-identical ``EvaluationResult`` contents to the frozen per-row
+   reference (``per_row.py``) at every width and sharded.
 2. **staged == pre-refactor loop** — the stage decomposition must
    reproduce the original monolithic ``evaluate`` loop (including the
    deleted ``sensor.roi_predictor`` monkeypatch mechanism for ROI reuse)
@@ -17,17 +17,19 @@ Three independent properties are pinned down, each exactly:
 import numpy as np
 import pytest
 
+from per_row import evaluate_per_row, per_row_graph
 from repro.core import BlissCamPipeline, ci, evaluate_strategy, make_strategy
-from repro.engine import Execution
+from repro.engine import Execution, build_tracking_graph, tracking_runner
 from repro.gaze.metrics import angular_errors
 from repro.sampling.roi import ROIReusePolicy, box_iou
+from repro.sampling.strategies import STRATEGY_NAMES
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
 
 
 @pytest.fixture(scope="module")
 def trained_pipeline():
-    pipe = BlissCamPipeline(ci(num_sequences=5, frames_per_sequence=8))
+    pipe = BlissCamPipeline(ci(num_sequences=6, frames_per_sequence=8))
     pipe.train([0, 1])
     return pipe
 
@@ -99,31 +101,123 @@ def reference_evaluate(pipeline, eval_indices, reuse_window=1, sensor_seed=1234)
     return np.array(preds), np.array(truths), records
 
 
+#: Widths 1, partial and full, in-process and sharded.
+EXECUTIONS = (
+    Execution(batch_size=1),
+    Execution(batch_size=3),
+    Execution(),
+    Execution(workers=2),
+)
+
+
 class TestBatchedEqualsSequential:
     def test_full_result_bitwise_identical(self, trained_pipeline):
-        seq_res = trained_pipeline.evaluate([2, 3, 4])
-        bat_res = trained_pipeline.evaluate(
-            [2, 3, 4], execution=Execution(batched=True)
-        )
-        assert np.array_equal(seq_res.predictions, bat_res.predictions)
-        assert np.array_equal(seq_res.truths, bat_res.truths)
-        assert seq_res.horizontal == bat_res.horizontal
-        assert seq_res.vertical == bat_res.vertical
-        s, b = seq_res.stats, bat_res.stats
-        assert s.roi_fractions == b.roi_fractions
-        assert s.sampled_fractions == b.sampled_fractions
-        assert s.valid_token_fractions == b.valid_token_fractions
-        assert s.transmitted_bytes == b.transmitted_bytes
-        assert s.rle_ratios == b.rle_ratios
-        assert s.roi_ious == b.roi_ious
+        seq_res = evaluate_per_row(trained_pipeline, [2, 3, 4, 5])
+        for execution in EXECUTIONS:
+            bat_res = trained_pipeline.evaluate(
+                [2, 3, 4, 5], execution=execution
+            )
+            assert np.array_equal(seq_res.predictions, bat_res.predictions)
+            assert np.array_equal(seq_res.truths, bat_res.truths)
+            assert seq_res.horizontal == bat_res.horizontal
+            assert seq_res.vertical == bat_res.vertical
+            s, b = seq_res.stats, bat_res.stats
+            assert s.roi_fractions == b.roi_fractions
+            assert s.sampled_fractions == b.sampled_fractions
+            assert s.valid_token_fractions == b.valid_token_fractions
+            assert s.transmitted_bytes == b.transmitted_bytes
+            assert s.rle_ratios == b.rle_ratios
+            assert s.roi_ious == b.roi_ious
 
     def test_reuse_window_bitwise_identical(self, trained_pipeline):
-        seq_res = trained_pipeline.evaluate([2, 3, 4], reuse_window=4)
-        bat_res = trained_pipeline.evaluate(
-            [2, 3, 4], reuse_window=4, execution=Execution(batched=True)
+        seq_res = evaluate_per_row(
+            trained_pipeline, [2, 3, 4, 5], reuse_window=4
         )
-        assert np.array_equal(seq_res.predictions, bat_res.predictions)
-        assert seq_res.stats.transmitted_bytes == bat_res.stats.transmitted_bytes
+        for execution in EXECUTIONS:
+            bat_res = trained_pipeline.evaluate(
+                [2, 3, 4, 5], reuse_window=4, execution=execution
+            )
+            assert np.array_equal(seq_res.predictions, bat_res.predictions)
+            assert (
+                seq_res.stats.transmitted_bytes
+                == bat_res.stats.transmitted_bytes
+            )
+            assert seq_res.stats.roi_fractions == bat_res.stats.roi_fractions
+
+
+class PlainPredictor:
+    """An ROI predictor without ``predict_batch``, called per row: a box
+    around the events' centroid, grown by the fed-back segmented area,
+    so a lane fed another lane's inputs gets another box."""
+
+    def __call__(self, event_map, prev_seg):
+        rows, cols = np.nonzero(event_map)
+        h, w = event_map.shape
+        r, c = (rows.mean() / h, cols.mean() / w) if rows.size else (0.5, 0.5)
+        half = 0.15
+        if prev_seg is not None:
+            half += 0.2 * np.mean(prev_seg > 0)
+        return np.clip([r - half, c - half, r + half, c + half], 0.0, 1.0)
+
+
+class PlainEstimator:
+    """A gaze estimator without ``predict_from_centroid``: accumulates
+    each map's label sum in its fallback state, so a lane fed another
+    lane's map or state gets another gaze."""
+
+    INITIAL_FALLBACK = (0.0, 0.0)
+
+    def __init__(self):
+        self.fallback_state = self.INITIAL_FALLBACK
+
+    def predict(self, seg):
+        total, frames = self.fallback_state
+        self.fallback_state = (total + float(np.sum(seg)), frames + 1)
+        return self.fallback_state
+
+
+def _frame_records(run):
+    return [
+        (c.seq_index, c.t, c.skipped, c.gaze_pred, c.roi_box, c.roi_reused,
+         c.stats)
+        for c in run.contexts
+    ]
+
+
+class TestInlinedFallbacks:
+    """Inputs without a batched seam run per row inside the one kernel;
+    the result still equals the per-row reference at every width."""
+
+    @pytest.mark.parametrize("wrap", ["predictor", "estimator"])
+    def test_per_row_inputs_match_reference(self, trained_pipeline, wrap):
+        pipe = trained_pipeline
+        template = pipe._sensor_template(1234)
+        predictor, estimator = template.roi_predictor, pipe.gaze_estimator
+        if wrap == "predictor":
+            predictor = PlainPredictor()
+        else:
+            estimator = PlainEstimator()
+        # An untrained ViT: its varied maps feed the ROI predictor and
+        # the gaze regression (the CI-scale trained one segments little).
+        segmenter = ViTSegmenter(pipe.config.vit, np.random.default_rng(5))
+        graph = build_tracking_graph(
+            predictor=predictor,
+            segmenter=segmenter,
+            gaze_estimator=estimator,
+            height=pipe.config.height,
+            width=pipe.config.width,
+        )
+        sequences = [(i, pipe.dataset[i]) for i in [2, 3, 4, 5]]
+
+        def run(g, execution=Execution()):
+            runner = tracking_runner(
+                sensor_template=template, sensor_seed=1234, graph=g
+            )
+            return _frame_records(runner.run(sequences, execution))
+
+        reference = run(per_row_graph(graph))
+        for execution in EXECUTIONS:
+            assert run(graph, execution) == reference, (wrap, execution)
 
 
 class TestStagedEqualsPreRefactor:
@@ -153,7 +247,8 @@ class TestStagedEqualsPreRefactor:
 
     def test_strategy_parity(self):
         """``evaluate_strategy`` on the engine == the pre-refactor harness
-        loop, for both a stochastic and a stateful (SKIP) strategy.
+        loop, for all seven Fig. 15 strategies — stochastic, learned,
+        fixed and the stateful SKIP gate.
 
         The reference is the seed harness loop ported to the engine's
         per-sequence stream semantics: every sequence samples from its own
@@ -179,7 +274,7 @@ class TestStagedEqualsPreRefactor:
         segs = np.concatenate([dataset[i].segmentations for i in eval_idx])
         gazes = np.concatenate([dataset[i].gazes for i in eval_idx])
 
-        for name in ("Ours (ROI+Random)", "Skip"):
+        for name in STRATEGY_NAMES:
             # Pre-refactor loop under per-sequence stream semantics.  The
             # seed derivation mirrors build_strategy_graph exactly.
             est_ref = FittedGazeEstimator()
@@ -208,13 +303,9 @@ class TestStagedEqualsPreRefactor:
                     preds_ref.append(est_ref.predict(seg_pred))
                     truths_ref.append(seq.gazes[t])
 
-            # Engine-backed harness with identically seeded inputs, in
-            # every execution mode.
-            for execution in (
-                Execution(),
-                Execution(batched=True),
-                Execution(workers=2),
-            ):
+            # Engine-backed harness with identically seeded inputs, at
+            # every width and sharded.
+            for execution in EXECUTIONS:
                 est_new = FittedGazeEstimator()
                 est_new.fit(segs, gazes)
                 result = evaluate_strategy(
@@ -234,8 +325,8 @@ class TestStagedEqualsPreRefactor:
                 ref_h, ref_v = angular_errors(
                     np.array(preds_ref), np.array(truths_ref)
                 )
-                assert result.horizontal == ref_h
-                assert result.vertical == ref_v
+                assert result.horizontal == ref_h, (name, execution)
+                assert result.vertical == ref_v, (name, execution)
 
 
 class TestVectorizedKernels:

@@ -3,14 +3,15 @@
 The sharded mode's contract is that partitioning the sequence rank over
 worker processes is invisible in the results: contexts come back in
 sequence-major order, per-stage timings are summed over shards, and the
-numeric content is bitwise-identical to the sequential reference (per-
-sequence random streams are keyed by sequence index, never by execution
-order or process placement).
+numeric content is bitwise-identical to the frozen per-row reference
+(per-sequence random streams are keyed by sequence index, never by
+execution order or process placement).
 """
 
 import numpy as np
 import pytest
 
+from per_row import evaluate_per_row, evaluate_strategy_per_row
 from repro.core import BlissCamPipeline, ci, evaluate_strategy, make_strategy
 from repro.engine import (
     Execution,
@@ -32,8 +33,9 @@ def trained_pipeline():
 class Probe(Stage):
     name = "probe"
 
-    def process(self, ctx, seq):
-        ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
+    def process_batch(self, ctxs, seqs):
+        for ctx in ctxs:
+            ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
 
 
 class Seq:
@@ -52,9 +54,10 @@ class FatProbe(Stage):
 
     name = "fat"
 
-    def process(self, ctx, seq):
-        ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
-        ctx.readout = np.full((64, 64), float(ctx.t))
+    def process_batch(self, ctxs, seqs):
+        for ctx in ctxs:
+            ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
+            ctx.readout = np.full((64, 64), float(ctx.t))
 
 
 class TestContiguousShards:
@@ -114,10 +117,14 @@ class TestShardedRunner:
         assert len(run.contexts) == 6
 
     def test_timings_summed_over_shards(self):
+        # Width 1 on both sides: one call per frame however the rank
+        # is cut, so the summed call counts are comparable.
         sequences = [(i, Seq()) for i in range(4)]
-        solo = SequenceRunner([Probe()]).run(sequences)
+        solo = SequenceRunner([Probe()]).run(
+            sequences, Execution(batch_size=1)
+        )
         sharded = SequenceRunner([Probe()]).run(
-            sequences, Execution(workers=2)
+            sequences, Execution(workers=2, batch_size=1)
         )
         assert sharded.stage_timings["probe"].frames == (
             solo.stage_timings["probe"].frames
@@ -210,19 +217,20 @@ class TestShardedRunner:
 
 class TestShardedTracking:
     def test_three_modes_cross_checked_bitwise(self, trained_pipeline):
-        """Sequential, batched lockstep and sharded (and their
-        composition) all produce identical evaluation results."""
+        """Width 1, full-width lockstep and sharded (and their
+        composition) all reproduce the per-row reference bitwise."""
         indices = [2, 3, 4, 5]
-        seq = trained_pipeline.evaluate(indices)
+        seq = evaluate_per_row(trained_pipeline, indices)
         runs = {
-            "batched": trained_pipeline.evaluate(
-                indices, execution=Execution(batched=True)
+            "width 1": trained_pipeline.evaluate(
+                indices, execution=Execution(batch_size=1)
             ),
+            "full width": trained_pipeline.evaluate(indices),
             "sharded": trained_pipeline.evaluate(
                 indices, execution=Execution(workers=2)
             ),
-            "sharded+batched": trained_pipeline.evaluate(
-                indices, execution=Execution(workers=2, batched=True)
+            "sharded width 1": trained_pipeline.evaluate(
+                indices, execution=Execution(workers=2, batch_size=1)
             ),
             "sharded x3": trained_pipeline.evaluate(
                 indices, execution=Execution(workers=3)
@@ -240,7 +248,7 @@ class TestShardedTracking:
             assert seq.vertical == other.vertical, name
 
     def test_sharded_with_reuse_window(self, trained_pipeline):
-        seq = trained_pipeline.evaluate([2, 3, 4], reuse_window=4)
+        seq = evaluate_per_row(trained_pipeline, [2, 3, 4], reuse_window=4)
         shard = trained_pipeline.evaluate(
             [2, 3, 4], reuse_window=4, execution=Execution(workers=2)
         )
@@ -262,12 +270,20 @@ class TestShardedStrategySweep:
     def test_fig15_sweep_matches_sequential_in_all_modes(
         self, trained_pipeline
     ):
-        """A Fig. 15-style sweep (several strategies, shared dataset) is
-        bitwise-reproducible batched and sharded — the per-sequence
-        strategy RNG spawns removed the sequential-only restriction."""
+        """A Fig. 15-style sweep (several strategies, shared dataset)
+        reproduces the per-row reference at every width and sharded —
+        the per-sequence strategy RNG spawns removed the sequential-only
+        restriction."""
         dataset = trained_pipeline.dataset
         eval_idx = [2, 3, 4]
         for name in ("Ours (ROI+Random)", "Full+Random", "Skip", "ROI+Fixed"):
+            ref = evaluate_strategy_per_row(
+                make_strategy(name, 4.0, dataset=dataset),
+                trained_pipeline.segmenter,
+                dataset,
+                eval_idx,
+                np.random.default_rng(21),
+            )
             results = {
                 mode: evaluate_strategy(
                     make_strategy(name, 4.0, dataset=dataset),
@@ -278,13 +294,12 @@ class TestShardedStrategySweep:
                     execution=execution,
                 )
                 for mode, execution in [
-                    ("sequential", Execution()),
-                    ("batched", Execution(batched=True)),
-                    ("chunked", Execution(batched=True, batch_size=2)),
+                    ("width 1", Execution(batch_size=1)),
+                    ("full width", Execution()),
+                    ("chunked", Execution(batch_size=2)),
                     ("sharded", Execution(workers=2)),
                 ]
             }
-            ref = results["sequential"]
             for mode, result in results.items():
                 assert result.horizontal == ref.horizontal, (name, mode)
                 assert result.vertical == ref.vertical, (name, mode)

@@ -1,16 +1,18 @@
-"""Bitwise parity of the batched strategy-graph kernels (Fig. 15 harness).
+"""Bitwise parity of the strategy-graph kernels (Fig. 15 harness).
 
 The strategy graph's stages (eventify-pair, strategy-sample,
-segment-or-reuse, gaze-regress) grew true ``process_batch`` kernels; this
-module pins batched == sequential == sharded for **every** registered
-strategy — including the stochastic ones (Full+Random, ROI+Learned
-tie-breaks, ROI+Random) and the stateful SKIP gate — across batch widths
-{1, partial, full-rank}, and for all three segmentation backends.
+segment-or-reuse, gaze-regress) each have one ``process_batch`` kernel;
+this module pins them against the frozen per-row reference
+(``per_row.py``) for **every** registered strategy — including the
+stochastic ones (Full+Random, ROI+Learned tie-breaks, ROI+Random) and
+the stateful SKIP gate — across lockstep widths {1, partial, full-rank}
+and sharded, for all three segmentation backends.
 """
 
 import numpy as np
 import pytest
 
+from per_row import evaluate_strategy_per_row
 from repro.core.variants import evaluate_strategy, make_strategy
 from repro.engine import Execution
 from repro.engine.stage import Stage
@@ -28,6 +30,13 @@ from repro.synth.dataset import DatasetConfig, SyntheticEyeDataset
 
 COMPRESSION = 4.0
 EVAL_IDX = [0, 1, 2, 3]
+#: Widths 1, partial and full, in-process and sharded.
+EXECUTIONS = (
+    Execution(batch_size=1),
+    Execution(batch_size=3),
+    Execution(),
+    Execution(workers=2),
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +58,19 @@ def vit():
     )
 
 
-def _run(strategy_name, dataset, segmenter, execution=Execution()):
+def _run(strategy_name, dataset, segmenter, execution=Execution(),
+         evaluate=evaluate_strategy):
     strategy = make_strategy(strategy_name, COMPRESSION, dataset=dataset)
     rng = np.random.default_rng(int(np.random.default_rng(7).integers(2**32)))
-    return evaluate_strategy(
+    return evaluate(
         strategy, segmenter, dataset, EVAL_IDX, rng, execution=execution
+    )
+
+
+def _reference(strategy_name, dataset, segmenter):
+    """The per-row reference run of one strategy."""
+    return _run(
+        strategy_name, dataset, segmenter, evaluate=evaluate_strategy_per_row
     )
 
 
@@ -66,7 +83,7 @@ def _assert_same(a, b, label):
 
 class TestBatchedStagesRegistered:
     def test_strategy_stages_override_process_batch(self):
-        """The strategy graph must not fall back to the per-row base loop."""
+        """Every strategy-graph stage implements the one kernel."""
         for stage_cls in (
             EventifyPairStage,
             StrategySampleStage,
@@ -79,16 +96,11 @@ class TestBatchedStagesRegistered:
 class TestStrategyGraphParity:
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_batched_and_sharded_equal_sequential(self, name, dataset, vit):
-        """batched == sequential == sharded, bitwise, per strategy —
-        across batch widths 1 (degenerate rank), 3 (partial rank) and
-        full-rank lockstep."""
-        ref = _run(name, dataset, vit)
-        for execution in (
-            Execution(batched=True, batch_size=1),
-            Execution(batched=True, batch_size=3),
-            Execution(batched=True),
-            Execution(workers=2),
-        ):
+        """Lockstep == per-row reference, bitwise, per strategy — across
+        widths 1 (degenerate rank), 3 (partial rank) and full-rank
+        lockstep, and sharded."""
+        ref = _reference(name, dataset, vit)
+        for execution in EXECUTIONS:
             _assert_same(
                 ref, _run(name, dataset, vit, execution), (name, execution)
             )
@@ -100,24 +112,25 @@ class TestDenseBackendParity:
         self, net_cls, dataset
     ):
         """Eval-mode conv backends ride predict_batch through the
-        segment-or-reuse stage; SKIP exercises the reuse/compute split."""
+        segment-or-reuse stage for every strategy; SKIP exercises the
+        reuse/compute split."""
         net = net_cls(np.random.default_rng(3), base_channels=4).eval()
-        for name in ("Skip", "Ours (ROI+Random)"):
-            ref = _run(name, dataset, net)
-            bat = _run(name, dataset, net, Execution(batched=True))
-            _assert_same(ref, bat, name)
+        for name in STRATEGY_NAMES:
+            ref = _reference(name, dataset, net)
+            for execution in EXECUTIONS:
+                bat = _run(name, dataset, net, execution)
+                _assert_same(ref, bat, (name, execution))
 
     @pytest.mark.parametrize("net_cls", [EdGazeNet, RITNet])
     def test_training_mode_falls_back_per_row(self, net_cls, dataset):
         """A net still in training mode must not be batch-stacked (batch
-        norm would couple rows) — the stage's per-row fallback keeps the
-        run bitwise-equal to sequential even then."""
+        norm would couple rows) — the kernel predicts row by row then,
+        bitwise-equal to the per-row reference at every width."""
         def fresh():
             return net_cls(np.random.default_rng(3), base_channels=4)
 
         assert fresh().training  # fresh nets start in training mode
-        ref = _run("Ours (ROI+Random)", dataset, fresh())
-        bat = _run(
-            "Ours (ROI+Random)", dataset, fresh(), Execution(batched=True)
-        )
-        _assert_same(ref, bat, net_cls.__name__)
+        ref = _reference("Ours (ROI+Random)", dataset, fresh())
+        for execution in EXECUTIONS:
+            bat = _run("Ours (ROI+Random)", dataset, fresh(), execution)
+            _assert_same(ref, bat, (net_cls.__name__, execution))

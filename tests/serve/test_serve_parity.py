@@ -5,8 +5,9 @@ trained tracking graph:
 
 * serving a client inside a multiplexed fleet is bitwise-identical to
   serving that client alone (per-client state + RNG spawns isolated);
-* cross-client micro-batched dispatch is bitwise-identical to per-client
-  scalar dispatch (the engine's batch-invariance contract);
+* cross-client micro-batched dispatch is bitwise-identical to the same
+  schedule through the frozen per-row reference graph (the engine's
+  batch-invariance contract);
 * partitioning the fleet into scheduler replicas (workers >= 2) changes
   neither per-client results nor, for an uncontended fleet, the merged
   telemetry summary;
@@ -17,6 +18,7 @@ import json
 
 import pytest
 
+from per_row import per_row_graph
 from repro.api import ExperimentSpec, Session
 from repro.engine import Execution, shm_available
 from repro.engine.transport import DISABLE_ENV
@@ -63,8 +65,9 @@ def test_multiplexed_equals_each_client_alone(serving):
 
 
 def test_micro_batched_equals_scalar_dispatch(serving):
-    batched = serve(serving, micro_batch=True)
-    scalar = serve(serving, micro_batch=False)
+    graph, factory, dataset_cfg = serving
+    batched = serve(serving)
+    scalar = serve((per_row_graph(graph), factory, dataset_cfg))
     assert batched.gaze_log == scalar.gaze_log
     # Telemetry must match byte-for-byte, not just structurally: the
     # summary is the serialized serving scorecard CI diffs across hosts.
@@ -75,9 +78,8 @@ def test_micro_batched_equals_scalar_dispatch(serving):
 
 def test_micro_batch_dispatch_has_no_per_row_stage(serving):
     """Every stage of the served tracking graph — the gaze regression
-    included, historically the last per-row holdout — must expose a real
-    batched kernel, so the scheduler's micro-batch dispatch never falls
-    back to the base-class loop."""
+    included, historically the last per-row holdout — implements the one
+    batched kernel the scheduler's micro-batch dispatch calls."""
     from repro.engine.stage import Stage
 
     graph, _, _ = serving
