@@ -14,9 +14,10 @@ wall-clock read confined to the single declared seam
    (``current_tracer``/``install_tracer``) emits spans into a tracer
    that does not exist in the child process — the spans silently
    vanish, or worse, land on a fork-inherited tracer and double-count.
-   Cross-process spans must travel the spooled merge path
-   (``repro.obs.spool.capture_job`` in the worker, ``drain_spans`` on
-   the submit side), which is what ``_file_queue_worker`` does.
+   Cross-process spans must travel the pool's capture path: the
+   worker runs the job under ``repro.obs.spool.capture_job`` and the
+   records come home with its result, which is what
+   ``ProcessPoolBackend.submit`` arranges for every traced job.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class ObsPlaneRule(Rule):
     rationale = (
         "The trace's deterministic plane is byte-pinned: wall-clock "
         "reads in repro.obs belong only in wall.py, and worker entry "
-        "points must spool spans through capture_job, never touch the "
-        "ambient tracer of a process they do not own."
+        "points must carry spans home through capture_job, never touch "
+        "the ambient tracer of a process they do not own."
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
@@ -113,8 +114,8 @@ class ObsPlaneRule(Rule):
                         module,
                         node,
                         f"{name.rsplit('.', 1)[1]}() inside worker entry "
-                        f"point {func_node.name!r} bypasses the spooled "
-                        "merge path — worker spans must go through "
+                        f"point {func_node.name!r} bypasses the pool's "
+                        "capture path — worker spans must go through "
                         "repro.obs.spool.capture_job so the submit side "
-                        "can drain and re-parent them",
+                        "can merge and re-parent them",
                     )

@@ -39,7 +39,7 @@ from repro.api.result import RunResult, git_describe
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.core import BlissCamPipeline, ci, paper
 from repro.engine import TransportChannel
-from repro.engine.executors import Execution, make_executor
+from repro.engine.executors import Execution, ProcessPoolBackend
 from repro.obs.tracer import TRACE_FORMAT_VERSION, Tracer, install_tracer
 from repro.store import ArtifactStore, StoreError, canonical_key
 from repro.synth import GazeDynamicsConfig
@@ -173,8 +173,8 @@ class Session:
         * a :class:`~repro.obs.Tracer` — record into the caller's tracer
           across runs; the caller owns the export (no sink is written).
         """
-        #: One live backend per ``execution.backend`` kind, grow-only.
-        self._executors: dict[str, Any] = {}
+        #: The live process pool, grow-only.
+        self._pool: ProcessPoolBackend | None = None
         self._transport = None
         self._closed = False
         self._memo: dict[Any, Any] = {}
@@ -207,28 +207,28 @@ class Session:
             "store_hydrations": 0,
         }
 
-    # -- persistent executor backends ----------------------------------------
-    def executor(self, workers: int, backend: str = "process_pool"):
-        """The session's live backend of the given kind, grown to at
-        least ``workers``; ``None`` for in-process runs (``workers < 2``
-        or ``backend == "in_process"`` — the serial reference path).
+    # -- persistent process pool -----------------------------------------------
+    def executor(
+        self, workers: int, backend: str = "process_pool"
+    ) -> ProcessPoolBackend | None:
+        """The session's live process pool, grown to at least
+        ``workers``; ``None`` for in-process runs (``workers < 2`` or
+        ``backend == "in_process"`` — the unsharded reference path).
 
-        Grow-only per backend: asking for fewer workers than the current
-        backend has reuses the bigger one (idle workers are cheap,
-        re-forking is the cost this session exists to amortize).
-        Growing drains the old backend first (``shutdown(wait=True)``)
-        so in-flight shard jobs complete before their pool goes away."""
+        Grow-only: asking for fewer workers than the current pool has
+        reuses the bigger one (idle workers are cheap, re-forking is the
+        cost this session exists to amortize).  Growing drains the old
+        pool first (``shutdown(wait=True)``) so in-flight shard jobs
+        complete before their pool goes away."""
         self._check_open()
         if workers < 2 or backend == "in_process":
             return None
-        current = self._executors.get(backend)
-        if current is None or workers > current.max_workers:
-            if current is not None:
-                current.shutdown(wait=True)
-            current = make_executor(backend, workers)
-            self._executors[backend] = current
+        if self._pool is None or workers > self._pool.max_workers:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+            self._pool = ProcessPoolBackend(workers)
             self._counters["pools_created"] += 1
-        return current
+        return self._pool
 
     def transport(self) -> TransportChannel:
         """The session's shared-memory transport channel, created lazily.
@@ -249,7 +249,7 @@ class Session:
         (whatever ``batched`` says) plus, when sharded, the session's
         backend (:meth:`executor`) and channel (:meth:`transport`).
         ``backend: in_process`` or ``workers < 2`` give the in-process
-        value — the serial reference path every backend is pinned
+        value — the serial reference path the pool is pinned
         against."""
         e = spec.execution
         in_process = Execution(batch_size=e.batch_size)
@@ -265,12 +265,10 @@ class Session:
 
     @property
     def pool_workers(self) -> int:
-        """Largest live backend size (0 = no backend yet).  May exceed
-        what the last run asked for — backends are grow-only — which
-        matters when interpreting timing comparisons."""
-        return max(
-            (ex.max_workers for ex in self._executors.values()), default=0
-        )
+        """Live pool size (0 = no pool yet).  May exceed what the last
+        run asked for — the pool is grow-only — which matters when
+        interpreting timing comparisons."""
+        return 0 if self._pool is None else self._pool.max_workers
 
     # -- observability ---------------------------------------------------------
     def stats(self) -> dict:
@@ -419,9 +417,9 @@ class Session:
 
         Tracing (``execution.trace`` or the session's ``trace=``)
         installs a :class:`~repro.obs.Tracer` around the whole run —
-        including the resume fast path — drains file-queue worker span
-        spools afterwards, writes the JSONL sink and stamps a ``trace``
-        block into ``provenance``."""
+        including the resume fast path and the spans pool workers carry
+        home with their results — writes the JSONL sink and stamps a
+        ``trace`` block into ``provenance``."""
         self._check_open()
         if isinstance(spec, dict):
             spec = ExperimentSpec.from_dict(spec)
@@ -455,12 +453,6 @@ class Session:
                 spec_hash=spec.spec_hash(),
             ):
                 result = self._run_impl(spec)
-            # Merge spooled worker captures (file-queue jobs) in sorted
-            # backend order, then account the run's cache economy.
-            for name in sorted(self._executors):
-                drain = getattr(self._executors[name], "drain_spans", None)
-                if drain is not None:
-                    drain(tracer)
             if self._cache_hits:
                 tracer.count("session.cache_hits", len(self._cache_hits))
         sink_bytes = tracer.write_jsonl(sink) if sink is not None else 0
@@ -527,13 +519,13 @@ class Session:
             )
 
     def close(self) -> None:
-        """Shut every executor backend down and retire the session.
+        """Shut the process pool down and retire the session.
         Idempotent; any later ``run()``/``executor()``/``with`` use
         raises cleanly instead of silently re-forking a pool the caller
         thought was released."""
-        for backend in self._executors.values():
-            backend.shutdown(wait=True)
-        self._executors = {}
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
         if self._transport is not None:
             self._transport.close()
             self._transport = None

@@ -55,6 +55,8 @@ DYNAMICS_PRESETS = ("default", "lively")
 ARRIVAL_PROCESSES = ("uniform", "poisson", "trace")
 #: Deadline policies of the ``serve`` workload.
 DEADLINE_POLICIES = ("drop", "best_effort")
+#: ``execution.backend`` values: the process pool, or the unsharded loop.
+EXECUTION_BACKENDS = ("in_process", "process_pool")
 
 
 class SpecError(ValueError):
@@ -230,12 +232,9 @@ class ExecutionSection:
 
     #: Worker processes; >= 2 shards the sequence rank.
     workers: int = 1
-    #: Executor backend the sharded paths dispatch through (a
-    #: :data:`repro.engine.executors.EXECUTOR_BACKENDS` name):
-    #: ``process_pool`` (the production fork pool + shm transport),
-    #: ``file_queue`` (spooled-file job queue — the external cluster
-    #: stand-in), or ``in_process`` (serial reference; forces
-    #: the unsharded path regardless of ``workers``).  All backends are
+    #: Where the sharded paths run: ``process_pool`` (the fork pool +
+    #: shm transport) or ``in_process`` (serial reference; forces the
+    #: unsharded path regardless of ``workers``).  Both are
     #: bitwise-identical for any job set.
     backend: str = "process_pool"
     #: Ignored: kept so existing specs load and hash unchanged.  The
@@ -485,16 +484,11 @@ class ExperimentSpec:
             )
         e = self.execution
         _require("execution.workers", e.workers >= 1, ">= 1")
-        # The backend registry lives in the engine layer; imported here
-        # (not hard-coded) so a new backend registers in exactly one
-        # place and the spec surface follows.
-        from repro.engine.executors import EXECUTOR_BACKENDS
-
-        if e.backend not in EXECUTOR_BACKENDS:
+        if e.backend not in EXECUTION_BACKENDS:
             raise SpecError(
                 "execution.backend",
                 f"unknown executor backend {e.backend!r}; "
-                f"choose from {sorted(EXECUTOR_BACKENDS)}",
+                f"choose from {sorted(EXECUTION_BACKENDS)}",
             )
         if e.batch_size is not None:
             _require("execution.batch_size", e.batch_size >= 1, ">= 1")

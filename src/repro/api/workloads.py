@@ -179,18 +179,14 @@ def _sweep_strategy_job(
     equivalent, so the result is identical to the serial sweep's.
     Returns the trained triple *in its post-training RNG state* (the
     evaluation consumes a deep copy) so the parent can cache it exactly
-    as the in-process path does.  A :class:`SpecError` comes back as
-    the result, so every backend delivers it intact.
+    as the in-process path does.
     """
     from repro.synth import SyntheticEyeDataset
 
     dataset = SyntheticEyeDataset(config.dataset)
-    try:
-        strategy, segmenter, rng = _train_strategy(
-            config, dataset, name, st, train_idx
-        )
-    except SpecError as exc:
-        return exc
+    strategy, segmenter, rng = _train_strategy(
+        config, dataset, name, st, train_idx
+    )
     evaluation = evaluate_strategy(
         strategy,
         segmenter,
@@ -242,10 +238,7 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
             for n in missing
         }
         for n in missing:
-            outcome = futures[n].result()
-            if isinstance(outcome, SpecError):
-                raise outcome
-            strategy, segmenter, rng, evaluation = outcome
+            strategy, segmenter, rng, evaluation = futures[n].result()
             session.memo(
                 _sweep_key(spec, train_idx, n),
                 lambda triple=(strategy, segmenter, rng): triple,

@@ -29,13 +29,9 @@ from repro.engine.runner import (
     contiguous_shards,
 )
 from repro.engine.executors import (
-    EXECUTOR_BACKENDS,
     Execution,
     ExecutorBackend,
-    FileQueueBackend,
-    InProcessExecutor,
     ProcessPoolBackend,
-    make_executor,
     shard_executor,
     sharding,
 )
@@ -73,11 +69,7 @@ __all__ = [
     "contiguous_shards",
     "shard_executor",
     "ExecutorBackend",
-    "InProcessExecutor",
     "ProcessPoolBackend",
-    "FileQueueBackend",
-    "EXECUTOR_BACKENDS",
-    "make_executor",
     "Execution",
     "sharding",
     "TransportChannel",

@@ -1,62 +1,50 @@
-"""The cross-process span spool: worker-side capture, dispatcher-side merge.
+"""The cross-process span capture: worker-side half of the pool merge.
 
-File-queue workers live in other processes, where the ambient tracer is
-(by design — see :func:`repro.obs.tracer.current_tracer`) invisible.
-Instead, a traced job runs under :func:`capture_job`: a fresh capture
-:class:`~repro.obs.tracer.Tracer` is installed for the job's duration
-and its records are spooled to a ``<seq>.spans`` JSONL file next to the
-job's result.  The dispatcher merges spools in job-sequence order on
-drain, re-parenting each capture under its submit-side ``executor.job``
-span — so a cross-process run still reads as one deterministic tree.
+Pool workers live in other processes, where the ambient tracer is (by
+design — see :func:`repro.obs.tracer.current_tracer`) invisible.
+Instead, a job submitted while a tracer is installed runs under
+:func:`capture_job`: a fresh capture :class:`~repro.obs.tracer.Tracer`
+is installed for the job's duration and its records travel back to the
+dispatcher in memory, with the job's result or its exception.  The
+dispatcher (:class:`repro.engine.executors.ProcessPoolBackend`) merges
+captures in job-sequence order, re-parenting each under its submit-side
+``executor.job`` span — so a cross-process run still reads as one
+deterministic tree.
 
-This module *is* the sanctioned merge path REP108 points worker code at.
-The spool file is written atomically (tmp + ``os.replace``) and before
-the result file, so a resolved future implies its spans exist.
+This module *is* the sanctioned capture path REP108 points worker code
+at.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs.tracer import Tracer, install_tracer
 
-__all__ = ["capture_job", "read_spool"]
+__all__ = ["CapturedJobError", "capture_job"]
 
 
-def capture_job(
-    spans_path: str | Path,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-) -> Any:
-    """Run one traced job under a fresh capture tracer; spool its records.
+class CapturedJobError(Exception):
+    """A captured job raised: ``args`` are ``(error, records)``.
 
-    The capture is written even when the job raises, so a failed job's
-    partial spans still reach the merged trace before the error record
-    does.  Returns (or re-raises) whatever the job does.
+    Raised ``from`` the job's own error, so the pool's remote traceback
+    shows the job's frames; the dispatcher re-raises ``error`` itself.
     """
-    spans_path = Path(spans_path)
+
+
+def capture_job(fn: Callable[..., Any], /, *args: Any, **kwargs: Any):
+    """Run one job under a fresh capture tracer.
+
+    Returns ``(result, records)``.  A raising job raises
+    :class:`CapturedJobError` carrying the error and the records
+    captured up to the failure, so its partial spans still reach the
+    merged trace.
+    """
     tracer = Tracer(origin=f"worker-{os.getpid()}")
     try:
         with install_tracer(tracer):
-            return fn(*args, **kwargs)
-    finally:
-        tmp = spans_path.with_name(spans_path.name + ".tmp")
-        lines = [
-            json.dumps(record, sort_keys=True)
-            for record in tracer.to_records()
-        ]
-        tmp.write_bytes(("\n".join(lines) + "\n").encode())
-        os.replace(tmp, spans_path)
-
-
-def read_spool(path: str | Path) -> list[dict]:
-    """Parse one spooled capture back into a record list."""
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+            result = fn(*args, **kwargs)
+    except BaseException as exc:  # noqa: BLE001 - carried to the dispatcher
+        raise CapturedJobError(exc, tracer.to_records()) from exc
+    return result, tracer.to_records()

@@ -23,7 +23,7 @@ Instrumented seams reach the tracer ambiently via :func:`current_tracer`
 global read).  The ambient tracer is pinned to the installing process
 *and thread*: a fork-pool worker or a thread-pool job sees ``None``
 instead of interleaving spans nondeterministically — cross-process spans
-must travel the spooled merge path (:mod:`repro.obs.spool`) instead,
+must travel the pool's capture path (:mod:`repro.obs.spool`) instead,
 which REP108 also enforces at the worker-entry seams.
 """
 
@@ -196,7 +196,7 @@ class Tracer:
     def merge_records(
         self, records: list[dict], parent: int | None | SpanRecord = None
     ) -> int:
-        """Fold a spooled worker capture in (the file-queue merge path).
+        """Fold a worker's captured records in (the pool merge path).
 
         Span ids are remapped into this tracer's sequence; captured root
         spans re-parent under ``parent`` (the dispatcher-side executor
@@ -307,7 +307,7 @@ def current_tracer() -> Tracer | None:
     """The installed tracer, or ``None`` (tracing off / wrong context).
 
     Returns ``None`` in any process or thread other than the installer's
-    — span emission from shard workers must travel the spooled merge
+    — span emission from shard workers must travel the pool's capture
     path (:mod:`repro.obs.spool`), never the ambient global.
     """
     if _CURRENT is None:

@@ -79,8 +79,9 @@ class TestRunCommand:
         spec_path.write_text(
             ExperimentSpec.from_dict({"workload": "area"}).to_json()
         )
-        assert main(["run", str(spec_path), "--backend", "thread"]) == 2
-        assert "execution.backend" in capsys.readouterr().err
+        for backend in ("thread", "file_queue"):
+            assert main(["run", str(spec_path), "--backend", backend]) == 2
+            assert "execution.backend" in capsys.readouterr().err
 
     def test_missing_spec_file_exits_2(self, capsys, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

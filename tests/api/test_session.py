@@ -256,43 +256,36 @@ class TestBackends:
         with Session() as session:
             assert session.execution(spec) == Execution(batch_size=batch_size)
 
-    def test_each_backend_kind_gets_its_own_executor(self):
-        with Session() as session:
-            pool = session.executor(2, backend="process_pool")
-            queue = session.executor(2, backend="file_queue")
-            assert pool is not queue
-            assert session.executor(2, backend="file_queue") is queue
-            assert session.stats()["pools_created"] == 2
-
-    def test_file_queue_matches_in_process(self):
+    def test_process_pool_matches_in_process(self):
         # Workload-level parity: the same sharded evaluate spec through
-        # the spooled-file backend produces the serial reference's metrics.
+        # the pool produces the unsharded reference's metrics.
         base = {
             "workload": "evaluate",
             "dataset": {"num_sequences": 4, "frames_per_sequence": 6},
             "training": {"train_indices": [0, 1], "epochs": 1},
         }
         results = {}
-        for backend in ("in_process", "file_queue"):
+        for backend in ("in_process", "process_pool"):
             with Session() as session:
                 results[backend] = session.run(
                     {**base, "execution": {"workers": 2, "backend": backend}}
                 ).metrics
-        assert results["file_queue"] == results["in_process"]
+        assert results["process_pool"] == results["in_process"]
 
     def test_backend_recorded_in_provenance(self):
         with Session() as session:
             result = session.run(
                 {
                     "workload": "area",
-                    "execution": {"backend": "file_queue"},
+                    "execution": {"backend": "in_process"},
                 }
             )
-        assert result.provenance["backend"] == "file_queue"
+        assert result.provenance["backend"] == "in_process"
 
     def test_unknown_backend_is_a_spec_error(self):
-        # "thread" was a backend once; it is rejected like any unknown.
-        for backend in ("slurm", "thread"):
+        # "thread" and "file_queue" were backends once; they are
+        # rejected like any unknown.
+        for backend in ("slurm", "thread", "file_queue"):
             with pytest.raises(SpecError, match="execution.backend"):
                 ExperimentSpec.from_dict(
                     {"execution": {"backend": backend}}

@@ -1,29 +1,55 @@
-"""Executor backends: every backend bitwise == the in-process reference.
+"""Executor backends: the process pool bitwise == the unsharded loop.
 
 The :class:`~repro.engine.executors.ExecutorBackend` protocol is the
 seam every sharded path dispatches through; these tests pin the
-contract (submit/shutdown/max_workers), the three backends' parity
-on a real staged-engine run, and the file-queue backend's
-self-containment (jobs round-trip through spooled files only).
+contract (submit/shutdown/max_workers) on the process pool and on
+:class:`InProcessExecutor`, the synchronous fake tests inject through
+``Execution(backend=...)``, and both backends' parity on a real
+staged-engine run.
 """
 
-import glob
-import tempfile
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro.engine import (
-    EXECUTOR_BACKENDS,
     Execution,
-    FileQueueBackend,
-    InProcessExecutor,
+    ProcessPoolBackend,
     SequenceRunner,
     Stage,
     TransportChannel,
-    make_executor,
+    sharding,
 )
-from repro.engine.executors import SPOOL_PREFIX, FileQueueJobError
+from repro.obs import Tracer, current_tracer, install_tracer
+
+
+class InProcessExecutor:
+    """Synchronous fake backend: ``submit`` runs the job at once in the
+    calling process and returns an already-settled future."""
+
+    def __init__(self, max_workers: int = 1):
+        self.max_workers = max(1, int(max_workers))
+        self._closed = False
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        if self._closed:
+            raise RuntimeError("cannot schedule new futures after shutdown")
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:  # noqa: BLE001 - future carries it
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        self._closed = True
+
+
+BACKENDS = {
+    "in_process": InProcessExecutor,
+    "process_pool": ProcessPoolBackend,
+}
 
 
 def _square(x):
@@ -32,6 +58,11 @@ def _square(x):
 
 def _boom():
     raise ValueError("worker-side failure")
+
+
+def _traced_square(x):
+    with current_tracer().span("job.square", x=x):
+        return x * x
 
 
 class Probe(Stage):
@@ -51,9 +82,9 @@ def _contexts(run):
 
 
 class TestProtocolContract:
-    @pytest.mark.parametrize("backend", sorted(EXECUTOR_BACKENDS))
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_submit_map_shutdown(self, backend):
-        ex = make_executor(backend, 2)
+        ex = BACKENDS[backend](2)
         try:
             assert ex.max_workers == 2
             # result(timeout) is part of the future contract everywhere.
@@ -61,32 +92,21 @@ class TestProtocolContract:
         finally:
             ex.shutdown(wait=True)
 
-    @pytest.mark.parametrize("backend", ("in_process", "file_queue"))
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_submit_after_shutdown_raises(self, backend):
-        ex = make_executor(backend, 2)
+        ex = BACKENDS[backend](2)
         ex.shutdown(wait=True)
         with pytest.raises(RuntimeError):
             ex.submit(_square, 1)
 
-    def test_worker_exception_reaches_the_future(self):
-        ex = InProcessExecutor(2)
-        with pytest.raises(ValueError, match="worker-side failure"):
-            ex.submit(_boom).result()
-        ex.shutdown()
-
-    def test_file_queue_ships_tracebacks(self):
-        ex = FileQueueBackend(max_workers=1)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_worker_exception_reaches_the_future(self, backend):
+        ex = BACKENDS[backend](2)
         try:
-            with pytest.raises(
-                FileQueueJobError, match="worker-side failure"
-            ):
+            with pytest.raises(ValueError, match="worker-side failure"):
                 ex.submit(_boom).result(timeout=30)
         finally:
             ex.shutdown(wait=True)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            make_executor("slurm", 2)
 
     def test_in_process_results_arrive_in_submission_order(self):
         ex = InProcessExecutor(4)
@@ -118,8 +138,8 @@ class TestExecution:
 
 
 class TestEngineParity:
-    """The acceptance pin: all three backends == serial reference on a
-    real staged run (shards + transport + fixed-order merge)."""
+    """The acceptance pin: both backends == the unsharded run on a real
+    staged run (shards + transport + fixed-order merge)."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -127,12 +147,10 @@ class TestEngineParity:
         run = SequenceRunner([Probe()]).run(sequences)
         return sequences, _contexts(run)
 
-    @pytest.mark.parametrize(
-        "backend", ("in_process", "process_pool", "file_queue")
-    )
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_backend_bitwise_identical_to_serial(self, backend, reference):
         sequences, expected = reference
-        ex = make_executor(backend, 2)
+        ex = BACKENDS[backend](2)
         try:
             run = SequenceRunner([Probe()]).run(
                 sequences, Execution(workers=2, backend=ex)
@@ -143,41 +161,29 @@ class TestEngineParity:
         assert run.stage_timings["probe"].frames == len(sequences) * 3
 
 
-class TestFileQueueSelfContainment:
-    def test_spool_directory_removed_on_shutdown(self):
-        ex = FileQueueBackend(max_workers=2)
-        root = ex.root
-        assert root.name.startswith(SPOOL_PREFIX)
-        assert ex.submit(_square, 3).result(timeout=30) == 9
-        ex.shutdown(wait=True)
-        assert not root.exists()
+class TestWorkerSpans:
+    def test_per_dispatch_pool_merges_worker_spans_by_exit(self):
+        tracer = Tracer()
+        with install_tracer(tracer):
+            with sharding(Execution(workers=2), 3) as live:
+                assert isinstance(live.backend, ProcessPoolBackend)
+                futures = [
+                    live.backend.submit(_traced_square, x) for x in range(3)
+                ]
+                # Nothing read yet: the pool's shutdown merges on exit.
+                assert "job.square" not in [s.name for s in tracer.spans]
+            assert [f.result() for f in futures] == [0, 1, 4]
+        jobs = [s for s in tracer.spans if s.name == "executor.job"]
+        squares = [s for s in tracer.spans if s.name == "job.square"]
+        assert [s.attrs["x"] for s in squares] == [0, 1, 2]
+        assert [s.parent for s in squares] == [s.id for s in jobs]
+        assert tracer.counters["executor.worker_spans_merged"] == 3
 
-    def test_no_spool_leaks_after_shutdown(self):
-        before = set(sorted(glob.glob(f"{tempfile.gettempdir()}/{SPOOL_PREFIX}*")))
-        ex = FileQueueBackend(max_workers=2)
-        futures = [ex.submit(_square, i) for i in range(8)]
-        assert [f.result(timeout=30) for f in futures] == [
-            i * i for i in range(8)
-        ]
-        ex.shutdown(wait=True)
-        after = set(sorted(glob.glob(f"{tempfile.gettempdir()}/{SPOOL_PREFIX}*")))
-        assert after <= before
-
-    def test_queue_drains_fifo_under_one_worker(self):
-        # One worker forces strictly sequential claims; results must
-        # still land under their own job names (no cross-talk).
-        ex = FileQueueBackend(max_workers=1)
+    def test_untraced_submit_returns_the_pools_future(self):
+        pool = ProcessPoolBackend(2)
         try:
-            futures = [ex.submit(_square, i) for i in range(6)]
-            assert [f.result(timeout=60) for f in futures] == [
-                i * i for i in range(6)
-            ]
+            future = pool.submit(_square, 3)
+            assert type(future) is Future
+            assert future.result(timeout=30) == 9
         finally:
-            ex.shutdown(wait=True)
-
-    def test_shutdown_without_wait_terminates_workers(self):
-        ex = FileQueueBackend(max_workers=2)
-        ex.submit(_square, 2).result(timeout=30)
-        procs = list(ex._procs)
-        ex.shutdown(wait=False)
-        assert all(not p.is_alive() for p in procs)
+            pool.shutdown(wait=True)

@@ -2,7 +2,7 @@
 
 The determinism pins here are the PR's acceptance contract: two
 identical traced runs (fresh state each) must produce byte-identical
-deterministic planes, including the cross-process file_queue merge.
+deterministic planes, including the spans pool workers carry home.
 """
 
 import pytest
@@ -17,8 +17,8 @@ TINY = {
     "training": {"epochs": 1},
 }
 
-#: Small sweep that fans per-strategy jobs across a sharded executor —
-#: the cross-process spool/merge path under test.
+#: Small sweep that fans per-strategy jobs across the process pool —
+#: the cross-process capture/merge path under test.
 SWEEP_SHARDED = {
     "workload": "strategy_sweep",
     "dataset": {
@@ -30,7 +30,7 @@ SWEEP_SHARDED = {
     "training": {"train_indices": [0, 1]},
     "execution": {
         "eval_indices": [2],
-        "backend": "file_queue",
+        "backend": "process_pool",
         "workers": 2,
     },
 }
@@ -148,12 +148,13 @@ class TestDeterminism:
             tmp_path / "b.jsonl"
         ).read_bytes()
 
-    def test_file_queue_merge_is_stable_and_reparented(self, tmp_path):
+    def test_pool_merge_is_stable_and_reparented(self, tmp_path):
         left = self._traced_run(SWEEP_SHARDED, tmp_path / "a.jsonl")
         right = self._traced_run(SWEEP_SHARDED, tmp_path / "b.jsonl")
         assert deterministic_bytes(left) == deterministic_bytes(right)
         names = _span_names(left)
-        assert "executor.job" in names
+        for expected in ("executor.job", "engine.run", "train.epoch"):
+            assert expected in names
         counters = _counters(left)
         assert counters["executor.jobs"] == 2
         assert counters["executor.worker_spans_merged"] > 0

@@ -1,10 +1,10 @@
 """Tracer unit behaviour: spans, planes, merge, the ambient guard."""
 
-import json
 import threading
 
 import pytest
 
+from repro.engine import ProcessPoolBackend
 from repro.obs import (
     TRACE_FORMAT_VERSION,
     SpanRecord,
@@ -13,9 +13,9 @@ from repro.obs import (
     current_tracer,
     finish_wall,
     install_tracer,
-    read_spool,
     read_trace,
 )
+from repro.obs.spool import CapturedJobError
 
 
 class TestSpans:
@@ -179,7 +179,7 @@ class TestJsonlRoundtrip:
         }
 
 
-def _spooled_job(x, y=1):
+def _captured_job(x, y=1):
     tracer = current_tracer()
     assert tracer is not None, "capture tracer must be ambient in the job"
     with tracer.span("job.work", x=x):
@@ -193,30 +193,48 @@ def _failing_job():
     raise RuntimeError("boom")
 
 
-class TestSpool:
-    def test_capture_job_spools_and_returns(self, tmp_path):
-        spool = tmp_path / "0.spans"
-        result = capture_job(spool, _spooled_job, (2,), {"y": 3})
+def _span_names(records):
+    return [r["name"] for r in records if r["type"] == "span"]
+
+
+class TestCapture:
+    def test_capture_job_returns_result_and_records(self):
+        result, records = capture_job(_captured_job, 2, y=3)
         assert result == 5
-        records = read_spool(spool)
         assert records[0]["type"] == "meta"
-        assert [r["name"] for r in records if r["type"] == "span"] == [
-            "job.work"
-        ]
+        assert _span_names(records) == ["job.work"]
         # The capture never leaks into this process's ambient slot.
         assert current_tracer() is None
 
-    def test_capture_job_spools_even_on_failure(self, tmp_path):
-        spool = tmp_path / "0.spans"
-        with pytest.raises(RuntimeError, match="boom"):
-            capture_job(spool, _failing_job, (), {})
-        names = [
-            r["name"] for r in read_spool(spool) if r["type"] == "span"
-        ]
-        assert names == ["job.before_failure"]
+    def test_capture_job_carries_partial_spans_on_failure(self):
+        with pytest.raises(CapturedJobError) as info:
+            capture_job(_failing_job)
+        error, records = info.value.args
+        assert isinstance(error, RuntimeError)
+        assert info.value.__cause__ is error
+        assert _span_names(records) == ["job.before_failure"]
 
-    def test_spool_line_format_is_sorted_json(self, tmp_path):
-        spool = tmp_path / "0.spans"
-        capture_job(spool, _spooled_job, (1,), {})
-        for line in spool.read_text().splitlines():
-            assert line == json.dumps(json.loads(line), sort_keys=True)
+    def test_pool_merges_partial_spans_when_the_job_raises(self):
+        tracer = Tracer()
+        pool = ProcessPoolBackend(2)
+        try:
+            with install_tracer(tracer):
+                ok = pool.submit(_captured_job, 1)
+                failed = pool.submit(_failing_job)
+                # Reading the later job merges the earlier one first.
+                with pytest.raises(RuntimeError, match="boom"):
+                    failed.result(timeout=30)
+                assert ok.done() and ok.result() == 2
+        finally:
+            pool.shutdown(wait=True)
+        names = [s.name for s in tracer.spans]
+        assert names == [
+            "executor.job",
+            "executor.job",
+            "job.work",
+            "job.before_failure",
+        ]
+        first_job, second_job, work, partial = tracer.spans
+        assert work.parent == first_job.id
+        assert partial.parent == second_job.id
+        assert tracer.counters["executor.worker_spans_merged"] == 2
