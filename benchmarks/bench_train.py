@@ -7,7 +7,7 @@ It trains identical CI-scale networks twice over the same dataset:
 
 * **per-frame** — ``batch_size=1``: the paper-faithful stepping, one
   Adam step per frame pair (bitwise-pinned by ``tests/training/``
-  against the retired ``JointTrainer`` loop);
+  against a transcription of the retired per-frame loop);
 * **batched** — ``batch_size=BATCH``: each minibatch is one rank through
   the vectorized kernels (stacked eventification, batched ROI
   forward/backward, batched soft masks, one ViT forward/backward per
@@ -37,7 +37,7 @@ from _helpers import (
 from repro.sampling import ROIPredictor
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
-from repro.training import JointTrainConfig, JointTrainer
+from repro.training import JointTrainConfig, TrainRunner
 
 #: CI-scale training geometry: two sequences of 24 frames -> 46 frame
 #: pairs per epoch.
@@ -85,14 +85,14 @@ def _time_schedule(dataset, batch_size: int) -> tuple[float, list[float]]:
     best, losses = None, None
     for _ in range(REPEATS):
         roi, vit = _components()
-        trainer = JointTrainer(
+        runner = TrainRunner(
             roi,
             vit,
             JointTrainConfig(epochs=EPOCHS, batch_size=batch_size),
             np.random.default_rng(3),
         )
         start = time.perf_counter()  # repro: allow[REP102] benchmark timing harness
-        result = trainer.train(dataset, list(range(SEQUENCES)))
+        result = runner.run(dataset, list(range(SEQUENCES)))
         elapsed = time.perf_counter() - start  # repro: allow[REP102] benchmark timing harness
         if best is None or elapsed < best:
             best, losses = elapsed, result.seg_losses

@@ -40,7 +40,8 @@ from repro.sampling.roi import (
 )
 from repro.segmentation.vit import ViTSegmenter
 from repro.synth.dataset import SyntheticEyeDataset
-from repro.training.joint import JointTrainConfig, JointTrainer, JointTrainResult
+from repro.training.joint import JointTrainConfig, JointTrainResult
+from repro.training.runtime import TrainRunner
 from repro.core.config import SystemConfig
 
 __all__ = [
@@ -214,11 +215,11 @@ class BlissCamPipeline:
         """
         if train_indices is None:
             train_indices, _ = self.dataset.split()
-        trainer = JointTrainer(
+        runner = TrainRunner(
             self.roi_predictor, self.segmenter, self.config.joint, self.rng
         )
-        self._train_result = trainer.train(
-            self.dataset, train_indices, execution
+        self._train_result = runner.run(
+            self.dataset, train_indices, execution=execution
         )
         # Calibrate the gaze regression on ground-truth maps (per-user
         # calibration in a real system).

@@ -19,7 +19,7 @@ from repro.gaze.metrics import AngularErrorStats, angular_errors
 from repro.sampling.eventification import eventify
 from repro.sampling.strategies import SamplingStrategy
 from repro.synth.dataset import SyntheticEyeDataset
-from repro.training.loop import train_segmentation
+from repro.training.runtime import train_segmentation
 
 __all__ = [
     "NoTrainingSamples",
@@ -127,10 +127,8 @@ def train_for_strategy(
 ):
     """Train ``segmenter`` on frames sampled by ``strategy``.
 
-    Executes on the training runtime
-    (:func:`repro.training.runtime.run_segmentation_epochs` via
-    :func:`train_segmentation`): each ``batch_size`` minibatch is one
-    model rank, exactly as the historical loop ran it.
+    Executes on :func:`repro.training.runtime.train_segmentation`: each
+    ``batch_size`` minibatch is one model rank.
 
     Stochastic strategies draw a *fresh* mask every epoch — the same
     regime as the real sensor, whose SRAM RNG resamples each frame.  This

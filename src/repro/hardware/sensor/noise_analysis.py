@@ -16,26 +16,18 @@ threshold.  Closed-form Gaussian expressions are exact for this model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-
-try:  # scipy is an *optional* extra (install blisscam-repro[analysis]);
-    # this offline analysis module is its only consumer — the training
-    # hot path's grey morphology moved to repro.nn.functional.
-    from scipy.stats import norm
-except ImportError:  # pragma: no cover - exercised in scipy-less envs
-    norm = None
 
 __all__ = ["EventificationErrorModel", "adc_code_error_probability"]
 
 
-def _require_scipy() -> None:
-    if norm is None:
-        raise ImportError(
-            "the eventification noise analysis needs scipy; install the "
-            "optional extra: pip install blisscam-repro[analysis]"
-        )
+def _gaussian_sf(x: float) -> float:
+    """Upper tail ``P(Z > x)`` of the standard normal."""
+    return 0.5 * math.erfc(x / math.sqrt(2))
 
 
 @dataclass(frozen=True)
@@ -61,9 +53,9 @@ class EventificationErrorModel:
         """
         if self.noise_rms == 0:
             return 0.0 if abs(true_diff) <= self.sigma else 1.0
-        _require_scipy()
-        upper = norm.sf((self.sigma - true_diff) / self.noise_rms)
-        lower = norm.cdf((-self.sigma - true_diff) / self.noise_rms)
+        upper = _gaussian_sf((self.sigma - true_diff) / self.noise_rms)
+        # The lower tail P(Z < (-sigma - diff) / rms), by symmetry.
+        lower = _gaussian_sf((self.sigma + true_diff) / self.noise_rms)
         return float(upper + lower)
 
     def missed_event_probability(self, true_diff: float) -> float:
@@ -99,8 +91,7 @@ class EventificationErrorModel:
         """
         if not 0 < false_rate_budget < 1:
             raise ValueError("budget must be in (0, 1)")
-        _require_scipy()
-        z = norm.isf(false_rate_budget / 2)
+        z = -NormalDist().inv_cdf(false_rate_budget / 2)
         return self.sigma / z
 
 
@@ -112,7 +103,6 @@ def adc_code_error_probability(noise_rms: float, bit_depth: int = 10) -> float:
         raise ValueError("bit depth must be >= 1")
     if noise_rms == 0:
         return 0.0
-    _require_scipy()
     lsb = 1.0 / (2**bit_depth - 1)
     # The ramp crossing shifts by n; an error needs |n| > LSB/2.
-    return float(2 * norm.sf((lsb / 2) / noise_rms))
+    return 2 * _gaussian_sf((lsb / 2) / noise_rms)

@@ -1,4 +1,4 @@
-"""Optimizers (SGD with momentum, Adam) and learning-rate schedules."""
+"""The Adam optimizer and global-norm gradient clipping."""
 
 from __future__ import annotations
 
@@ -6,52 +6,10 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["SGD", "Adam", "clip_grad_norm", "cosine_schedule", "step_schedule"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
-class Optimizer:
-    """Shared bookkeeping for parameter-list optimizers."""
-
-    def __init__(self, params: list[Parameter], lr: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive: {lr}")
-        self.params = list(params)
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, vel in zip(self.params, self._velocity):
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            vel *= self.momentum
-            vel += grad
-            p.data -= self.lr * vel
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with bias correction (Kingma & Ba)."""
 
     def __init__(
@@ -60,12 +18,13 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
-        super().__init__(params, lr)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive: {lr}")
+        self.params = list(params)
+        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -76,8 +35,6 @@ class Adam(Optimizer):
         bias2 = 1.0 - self.beta2**self._t
         for p, m, v in zip(self.params, self._m, self._v):
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             m *= self.beta1
             m += (1 - self.beta1) * grad
             v *= self.beta2
@@ -96,22 +53,3 @@ def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
         for p in params:
             p.grad *= scale
     return total
-
-
-def cosine_schedule(base_lr: float, epoch: int, total_epochs: int) -> float:
-    """Cosine decay from ``base_lr`` to zero over ``total_epochs``."""
-    if total_epochs <= 0:
-        raise ValueError("total_epochs must be positive")
-    frac = min(epoch, total_epochs) / total_epochs
-    return 0.5 * base_lr * (1.0 + np.cos(np.pi * frac))
-
-
-def step_schedule(
-    base_lr: float, epoch: int, milestones: list[int], gamma: float = 0.1
-) -> float:
-    """Multiply the learning rate by ``gamma`` at each milestone."""
-    lr = base_lr
-    for milestone in milestones:
-        if epoch >= milestone:
-            lr *= gamma
-    return lr

@@ -1,23 +1,24 @@
-"""Training procedures: generic segmentation training and the paper's
-joint ROI + ViT procedure with approximate differentiable sampling.
+"""Training procedures: the paper's joint ROI + ViT procedure with
+approximate differentiable sampling, and generic segmentation training.
 
-Execution lives in :mod:`repro.training.runtime` — the batched-rank
-:class:`TrainRunner` behind :class:`JointTrainer` and
-:func:`train_segmentation` (see ``docs/training.md``)."""
+Both run in :mod:`repro.training.runtime`: :class:`TrainRunner` is the
+one joint trainer and :func:`train_segmentation` the one segmentation
+trainer (see ``docs/training.md``)."""
 
 from repro.training.joint import (
     JointTrainConfig,
-    JointTrainer,
     JointTrainResult,
     SoftROIMask,
 )
-from repro.training.loop import TrainResult, batched, train_segmentation
 from repro.training.runtime import (
     TRAIN_STREAM_TAG,
+    TrainResult,
     TrainRunner,
     TrainSample,
+    batched,
     collect_frame_pairs,
     sample_stream,
+    train_segmentation,
 )
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "train_segmentation",
     "batched",
     "SoftROIMask",
-    "JointTrainer",
     "JointTrainConfig",
     "JointTrainResult",
     "TrainRunner",

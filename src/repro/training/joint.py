@@ -18,12 +18,8 @@ Gradient masking (the paper's explicit rule): only gradients at pixels
 *selected by the random sampling* flow back into the ROI predictor; the
 Bernoulli mask multiplies the chain, zeroing everything else.
 
-Execution lives in :mod:`repro.training.runtime`: :class:`JointTrainer`
-is the classic front (build the losses/optimizers once, call
-:meth:`JointTrainer.train`), but the per-frame stepping loop it used to
-carry was retired in favour of the batched-rank :class:`~repro.training.
-runtime.TrainRunner`, which also runs minibatched (``batch_size > 1``)
-and sharded (``grad_accum`` + ``workers >= 2``) schedules.
+This module holds the procedure's config, result and soft-mask types;
+:class:`repro.training.runtime.TrainRunner` executes it.
 """
 
 from __future__ import annotations
@@ -32,13 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.executors import Execution
-from repro.nn import Adam, CrossEntropyLoss, MSELoss
-from repro.sampling.roi import ROIPredictor
-from repro.segmentation.vit import ViTSegmenter
-from repro.synth.dataset import SyntheticEyeDataset
-
-__all__ = ["SoftROIMask", "JointTrainer", "JointTrainConfig", "JointTrainResult"]
+__all__ = ["SoftROIMask", "JointTrainConfig", "JointTrainResult"]
 
 
 class SoftROIMask:
@@ -254,61 +244,3 @@ class JointTrainResult:
         )
         return seg_improved and roi_held
 
-
-class JointTrainer:
-    """Trains the ROI predictor and sparse ViT end to end.
-
-    A thin front over :class:`repro.training.runtime.TrainRunner`: this
-    class owns the losses, optimizers and soft mask (so callers can
-    inspect or substitute them before training) and delegates execution
-    — minibatch formation, the batched rank kernels, the optimizer
-    schedule and optional sharding — to the runtime.
-    """
-
-    def __init__(
-        self,
-        roi_predictor: ROIPredictor,
-        segmenter: ViTSegmenter,
-        config: JointTrainConfig,
-        rng: np.random.Generator,
-    ):
-        self.roi_predictor = roi_predictor
-        self.segmenter = segmenter
-        self.config = config
-        self.rng = rng
-        self.seg_loss = CrossEntropyLoss()
-        self.roi_loss = MSELoss()
-        self.opt_seg = Adam(segmenter.parameters(), lr=config.lr_segmenter)
-        self.opt_roi = Adam(roi_predictor.parameters(), lr=config.lr_roi)
-        self.soft_mask = SoftROIMask(
-            segmenter.config.height, segmenter.config.width, tau=config.tau
-        )
-
-    def train(
-        self,
-        dataset: SyntheticEyeDataset,
-        sequence_indices: list[int],
-        execution: Execution = Execution(),
-    ) -> JointTrainResult:
-        """Run ``config.epochs`` passes over the given sequences.
-
-        ``execution`` may shard the epoch's per-sequence gradient passes
-        (bitwise-neutral; see
-        :meth:`repro.training.runtime.TrainRunner.run`).
-        """
-        # Imported here: the runtime imports this module for the config/
-        # result/soft-mask types.
-        from repro.training.runtime import TrainRunner
-
-        runner = TrainRunner(
-            self.roi_predictor,
-            self.segmenter,
-            self.config,
-            self.rng,
-            seg_loss=self.seg_loss,
-            roi_loss=self.roi_loss,
-            opt_seg=self.opt_seg,
-            opt_roi=self.opt_roi,
-            soft_mask=self.soft_mask,
-        )
-        return runner.run(dataset, sequence_indices, execution=execution)

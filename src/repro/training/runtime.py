@@ -5,8 +5,9 @@ sweeps, serving — runs on the engine's batched-rank design: fixed-width
 vectorized ranks, per-unit spawned RNG streams keyed by stable identity,
 and fixed-order reductions, which together make execution mode (scalar /
 batched / sharded) a pure performance knob.  This module brings the last
-layer, *training*, onto the same design and retires the per-frame
-``JointTrainer._train_step`` loop.
+layer, *training*, onto the same design: it holds the one joint trainer,
+:class:`TrainRunner`, and the one segmentation trainer,
+:func:`train_segmentation`.
 
 :class:`TrainRunner` forms minibatches of teacher-forced frame pairs and
 runs each as **one rank**:
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import zlib
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,21 +61,79 @@ from repro.training.joint import (
     JointTrainResult,
     SoftROIMask,
 )
-from repro.training.loop import TrainResult, batched
 
 __all__ = [
     "TRAIN_STREAM_TAG",
+    "TrainResult",
     "TrainSample",
     "TrainRunner",
+    "batched",
     "collect_frame_pairs",
     "sample_stream",
-    "run_segmentation_epochs",
+    "train_segmentation",
 ]
 
 #: Namespaces the training streams away from every other consumer of the
 #: same base seed (the serving runtime uses the analogous
 #: ``SERVE_STREAM_TAG``).
 TRAIN_STREAM_TAG = zlib.crc32(b"repro.training")
+
+
+@dataclass
+class TrainResult:
+    """Loss trajectory of one segmentation training run."""
+
+    epoch_losses: list[float] = field(default_factory=list)
+
+    @property
+    def final_loss(self) -> float:
+        if not self.epoch_losses:
+            raise ValueError("no epochs recorded")
+        return self.epoch_losses[-1]
+
+    @property
+    def improved(self) -> bool:
+        return len(self.epoch_losses) >= 2 and (
+            self.epoch_losses[-1] < self.epoch_losses[0]
+        )
+
+
+def batched(items: list, batch_size: int):
+    """Yield consecutive chunks of at most ``batch_size`` items."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1: {batch_size}")
+    for start in range(0, len(items), batch_size):
+        yield items[start : start + batch_size]
+
+
+def _epoch_span(epoch: int, schedule: str, **attrs):
+    """The ``train.epoch`` span of one epoch under the installed tracer
+    (bumping the ``train.epochs`` counter); a no-op without one."""
+    tracer = current_tracer()
+    if tracer is None:
+        return nullcontext()
+    tracer.count("train.epochs")
+    return tracer.span("train.epoch", epoch=epoch, schedule=schedule, **attrs)
+
+
+#: The joint procedure's ``(seg_loss, roi_loss, soft_mask)`` kernels.
+_Kernels = tuple[CrossEntropyLoss, MSELoss, SoftROIMask]
+
+
+def _joint_kernels(config: JointTrainConfig, segmenter) -> _Kernels:
+    """Build the joint procedure's loss and soft-mask kernels.
+
+    The only place they are built: :meth:`TrainRunner.run` and the
+    shard workers (:func:`_epoch_shard_job`) both call it, so in-process
+    and sharded training run the same kernels by construction.
+    """
+    return (
+        CrossEntropyLoss(),
+        MSELoss(),
+        SoftROIMask(
+            segmenter.config.height, segmenter.config.width, tau=config.tau
+        ),
+    )
 
 
 def sample_stream(
@@ -382,17 +441,12 @@ def _epoch_shard_job(
     Weight arrays arrive as read-only views over the mapped segments;
     ``Parameter.__setstate__`` recreates writable gradient buffers, and
     workers never write ``.data`` — they only accumulate gradients — so
-    read-only weights are exactly as safe as pickled copies.  Workers
-    rebuild the canonical loss kernels — :meth:`TrainRunner.run` refuses
-    to shard when non-canonical components were injected, so
-    worker-side and in-process execution can never silently diverge.
+    read-only weights are exactly as safe as pickled copies.  The loss
+    and soft-mask kernels come from :func:`_joint_kernels`, the builder
+    the in-process run uses too.
     """
     roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
-    seg_loss = CrossEntropyLoss()
-    roi_loss = MSELoss()
-    soft_mask = SoftROIMask(
-        segmenter.config.height, segmenter.config.width, tau=config.tau
-    )
+    seg_loss, roi_loss, soft_mask = _joint_kernels(config, segmenter)
     return [
         _sequence_gradients(
             roi_predictor,
@@ -411,7 +465,9 @@ def _epoch_shard_job(
 
 
 class TrainRunner:
-    """Executes the joint training procedure in batched ranks.
+    """Trains the ROI predictor and sparse ViT end to end (Sec. III-C).
+
+    Executes the joint procedure in batched ranks.
 
     Parameters
     ----------
@@ -422,12 +478,10 @@ class TrainRunner:
         ``batch_size`` sets the rank width / step granularity and
         ``grad_accum`` selects the data-parallel epoch schedule.
     rng:
-        A generator (one integer is drawn from it to key the per-sample
-        streams) or a plain integer seed.
-    seg_loss, roi_loss, opt_seg, opt_roi, soft_mask:
-        Injectable components, defaulting to the canonical ones; the
-        :class:`~repro.training.joint.JointTrainer` front passes its own
-        so callers can keep substituting them.
+        One integer is drawn from it to key the per-sample streams.
+
+    The two Adam optimizers are runner state: their moments carry over
+    from one :meth:`run` to the next.
     """
 
     def __init__(
@@ -435,34 +489,16 @@ class TrainRunner:
         roi_predictor,
         segmenter,
         config: JointTrainConfig,
-        rng: np.random.Generator | int,
-        *,
-        seg_loss=None,
-        roi_loss=None,
-        opt_seg=None,
-        opt_roi=None,
-        soft_mask: SoftROIMask | None = None,
+        rng: np.random.Generator,
     ):
         self.roi_predictor = roi_predictor
         self.segmenter = segmenter
         self.config = config
-        if isinstance(rng, np.random.Generator):
-            #: One draw keys every per-sample stream (the spawn idiom:
-            #: downstream streams derive from identity, not draw order).
-            self.seed = int(rng.integers(2**63 - 1))
-        else:
-            self.seed = int(rng)
-        self.seg_loss = seg_loss if seg_loss is not None else CrossEntropyLoss()
-        self.roi_loss = roi_loss if roi_loss is not None else MSELoss()
-        self.opt_seg = opt_seg or Adam(
-            segmenter.parameters(), lr=config.lr_segmenter
-        )
-        self.opt_roi = opt_roi or Adam(
-            roi_predictor.parameters(), lr=config.lr_roi
-        )
-        self.soft_mask = soft_mask or SoftROIMask(
-            segmenter.config.height, segmenter.config.width, tau=config.tau
-        )
+        #: One draw keys every per-sample stream (the spawn idiom:
+        #: downstream streams derive from identity, not draw order).
+        self.seed = int(rng.integers(2**63 - 1))
+        self.opt_seg = Adam(segmenter.parameters(), lr=config.lr_segmenter)
+        self.opt_roi = Adam(roi_predictor.parameters(), lr=config.lr_roi)
 
     # -- the front door -----------------------------------------------------
     def run(
@@ -490,82 +526,40 @@ class TrainRunner:
                 "accumulates per-sequence gradients (fixed reduction "
                 "order) and steps once per epoch"
             )
-        if execution.workers >= 2 and not self._components_canonical():
-            # Workers rebuild the canonical kernels (custom objects
-            # generally do not pickle); silently diverging from the
-            # in-process run would break the worker-count-neutrality
-            # contract, so refuse instead.
-            raise ValueError(
-                "sharded training runs the canonical loss / soft-mask "
-                "kernels in worker processes; substituted components "
-                "would be silently ignored there — train in-process "
-                "(workers=1) or drop the substitution"
-            )
         indices = list(sequence_indices)
+        kernels = _joint_kernels(self.config, self.segmenter)
         self.segmenter.train()
         self.roi_predictor.train()
-        return self._execute(dataset, indices, execution)
-
-    def _components_canonical(self) -> bool:
-        """Whether workers would rebuild exactly the components in use.
-
-        ``_epoch_shard_job`` reconstructs the losses and soft mask from
-        the config, so sharding is only allowed when the in-process
-        instances are the canonical types *and* the soft mask carries
-        the config's parameters (a canonical-type mask with a different
-        ``tau`` or geometry would still diverge silently).
-        """
-        c = self.segmenter.config
-        return (
-            type(self.seg_loss) is CrossEntropyLoss
-            and type(self.roi_loss) is MSELoss
-            and type(self.soft_mask) is SoftROIMask
-            and self.soft_mask.tau == self.config.tau
-            and len(self.soft_mask._rows) == c.height
-            and len(self.soft_mask._cols) == c.width
-        )
-
-    def _execute(
-        self, dataset, indices: list[int], execution: Execution
-    ) -> JointTrainResult:
-        """Dispatch to the configured schedule; restore eval mode."""
         try:
             if self.config.grad_accum:
-                result = self._run_accumulated(dataset, indices, execution)
-            else:
-                result = self._run_stepped(
-                    collect_frame_pairs(dataset, indices)
+                return self._run_accumulated(
+                    dataset, indices, execution, kernels
                 )
+            return self._run_stepped(
+                collect_frame_pairs(dataset, indices), kernels
+            )
         finally:
             self.segmenter.eval()
             self.roi_predictor.eval()
-        return result
 
     # -- stepped schedule (legacy semantics at batch_size=1) ------------------
-    def _run_stepped(self, samples: list[TrainSample]) -> JointTrainResult:
+    def _run_stepped(
+        self, samples: list[TrainSample], kernels: _Kernels
+    ) -> JointTrainResult:
         """One Adam step per minibatch, minibatches cut sequence-major."""
         cfg = self.config
         result = JointTrainResult()
-        tracer = current_tracer()
         for epoch in range(cfg.epochs):
-            epoch_span = (
-                tracer.span(
-                    "train.epoch",
-                    epoch=epoch,
-                    schedule="stepped",
-                    samples=len(samples),
-                )
-                if tracer is not None
-                else nullcontext()
-            )
-            if tracer is not None:
-                tracer.count("train.epochs")
-            with epoch_span:
-                self._stepped_epoch(samples, epoch, result)
+            with _epoch_span(epoch, "stepped", samples=len(samples)):
+                self._stepped_epoch(samples, epoch, kernels, result)
         return result
 
     def _stepped_epoch(
-        self, samples: list[TrainSample], epoch: int, result: JointTrainResult
+        self,
+        samples: list[TrainSample],
+        epoch: int,
+        kernels: _Kernels,
+        result: JointTrainResult,
     ) -> None:
         cfg = self.config
         seg_total, roi_total, steps = 0.0, 0.0, 0
@@ -577,9 +571,7 @@ class TrainRunner:
                 self.seed,
                 epoch,
                 rank,
-                self.seg_loss,
-                self.roi_loss,
-                self.soft_mask,
+                *kernels,
                 zero_grads=True,
             )
             clip_grad_norm(self.roi_predictor.parameters(), cfg.grad_clip)
@@ -594,14 +586,17 @@ class TrainRunner:
 
     # -- data-parallel schedule (grad_accum) ----------------------------------
     def _run_accumulated(
-        self, dataset, indices: list[int], execution: Execution
+        self,
+        dataset,
+        indices: list[int],
+        execution: Execution,
+        kernels: _Kernels,
     ) -> JointTrainResult:
         """One Adam step per epoch over fixed-order per-sequence sums."""
         cfg = self.config
         result = JointTrainResult()
         roi_params = self.roi_predictor.parameters()
         seg_params = self.segmenter.parameters()
-        tracer = current_tracer()
         # One backend + channel for the whole run (not per epoch).
         with sharding(execution, len(indices)) as live:
             # The run-constant shard specs ship once, into slots a later
@@ -620,23 +615,15 @@ class TrainRunner:
                     )
                 ]
             for epoch in range(cfg.epochs):
-                epoch_span = (
-                    tracer.span(
-                        "train.epoch",
-                        epoch=epoch,
-                        schedule="accumulated",
-                        sequences=len(indices),
-                        workers=live.workers,
-                    )
-                    if tracer is not None
-                    else nullcontext()
-                )
-                if tracer is not None:
-                    tracer.count("train.epochs")
-                with epoch_span:
+                with _epoch_span(
+                    epoch,
+                    "accumulated",
+                    sequences=len(indices),
+                    workers=live.workers,
+                ):
                     self._accumulate_epoch(
                         dataset, indices, shard_handles, live, epoch,
-                        roi_params, seg_params, result,
+                        kernels, roi_params, seg_params, result,
                     )
         return result
 
@@ -677,6 +664,7 @@ class TrainRunner:
         shard_handles: list | None,
         live: Execution,
         epoch: int,
+        kernels: _Kernels,
         roi_params,
         seg_params,
         result: JointTrainResult,
@@ -698,9 +686,7 @@ class TrainRunner:
                     epoch,
                     seq_index,
                     dataset[seq_index],
-                    self.seg_loss,
-                    self.roi_loss,
-                    self.soft_mask,
+                    *kernels,
                 )
                 for seq_index in indices
             )
@@ -770,26 +756,36 @@ class TrainRunner:
             yield from future.result()
 
 
-# -- generic segmentation training (the train_segmentation backend) ----------
-def run_segmentation_epochs(
+# -- generic segmentation training -------------------------------------------
+def train_segmentation(
     model,
     samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     epochs: int,
     rng: np.random.Generator,
-    lr: float,
-    batch_size: int,
-    grad_clip: float,
-    supervise_sampled_only: bool,
+    lr: float = 3e-3,
+    batch_size: int = 4,
+    grad_clip: float = 5.0,
+    supervise_sampled_only: bool = False,
 ) -> TrainResult:
-    """The minibatched epoch loop behind :func:`repro.training.loop.
-    train_segmentation`.
+    """Train a segmenter on ``(frame, mask, target)`` samples.
 
-    Already a batched-rank computation (one model forward/backward per
-    minibatch); it lives here so every training schedule — joint and
-    plain segmentation alike — executes in the runtime layer.  The
-    numerics are an exact transplant of the historical loop: same
-    shuffle draws, same stacking, same step order, bitwise-identical
-    results.
+    Trains any of the three segmenters (ViT, RITnet, EdGaze — they share
+    the ``forward(frames, masks)`` / ``backward(grad)`` interface); used
+    for the baseline (non-joint) experiments and the ablation
+    benchmarks.  Each ``batch_size`` minibatch is one model rank with
+    one Adam step.
+
+    Parameters
+    ----------
+    model:
+        A module with ``forward(frames, masks) -> (B, H, W, K)`` logits.
+    samples:
+        Each element is ``(frame (H, W), sampling_mask (H, W) bool,
+        target (H, W) int)``.
+    supervise_sampled_only:
+        When True, the cross-entropy is restricted to sampled pixels
+        (gradient masking).  The default supervises the full map, teaching
+        the network to in-paint labels for unsampled pixels.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1: {epochs}")
@@ -800,21 +796,8 @@ def run_segmentation_epochs(
     result = TrainResult()
     order = np.arange(len(samples))
     model.train()
-    tracer = current_tracer()
     for epoch in range(epochs):
-        epoch_span = (
-            tracer.span(
-                "train.epoch",
-                epoch=epoch,
-                schedule="segmentation",
-                samples=len(samples),
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        if tracer is not None:
-            tracer.count("train.epochs")
-        with epoch_span:
+        with _epoch_span(epoch, "segmentation", samples=len(samples)):
             rng.shuffle(order)
             epoch_loss = 0.0
             num_batches = 0

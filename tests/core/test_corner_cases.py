@@ -59,7 +59,7 @@ class TestBlinkHandling:
         """A sequence where half the frames are occluded still trains."""
         from repro.sampling import ROIPredictor
         from repro.segmentation import ViTConfig, ViTSegmenter
-        from repro.training import JointTrainConfig, JointTrainer
+        from repro.training import JointTrainConfig, TrainRunner
 
         rng = np.random.default_rng(1)
         ds = SyntheticEyeDataset(
@@ -79,8 +79,8 @@ class TestBlinkHandling:
                       depth=1, decoder_depth=1),
             rng,
         )
-        trainer = JointTrainer(roi, vit, JointTrainConfig(epochs=1), rng)
-        result = trainer.train(ds, [0])
+        runner = TrainRunner(roi, vit, JointTrainConfig(epochs=1), rng)
+        result = runner.run(ds, [0])
         assert np.isfinite(result.seg_losses[0])
 
 

@@ -1,30 +1,36 @@
 """Tests for the eventification noise analysis and the power-budget model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.hardware.power_budget import HeadsetBudget
-from repro.hardware.sensor import noise_analysis
 from repro.hardware.sensor.noise_analysis import (
     EventificationErrorModel,
     adc_code_error_probability,
 )
 
-#: Only the Gaussian-tail queries need scipy — an optional extra
-#: (blisscam-repro[analysis]).  The zero-noise fast paths and the
-#: validation checks (which raise *before* the scipy requirement) run
-#: everywhere, pinning the scipy-less behavior this repo supports.
-needs_scipy = pytest.mark.skipif(
-    noise_analysis.norm is None, reason="scipy not installed"
-)
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def test_scipy_is_optional():
-    # Importing the module (and the zero-noise fast paths) must work
-    # without scipy; only the Gaussian-tail queries require it.
-    model = EventificationErrorModel(noise_rms=0.0, sigma=15 / 255)
-    assert model.false_event_probability(0.0) == 0.0
-    assert adc_code_error_probability(0.0) == 0.0
+    # numpy is the only dependency: the Gaussian tails come from the
+    # standard library, so importing the CLI (which imports this module
+    # through repro.hardware.sensor) loads no scipy module.
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestEventificationErrorModel:
@@ -33,20 +39,17 @@ class TestEventificationErrorModel:
         assert model.false_event_probability(0.0) == 0.0
         assert model.missed_event_probability(0.5) == 0.0
 
-    @needs_scipy
     def test_false_rate_grows_with_noise(self):
         quiet = EventificationErrorModel(0.005, 15 / 255)
         loud = EventificationErrorModel(0.02, 15 / 255)
         assert loud.false_event_probability() > quiet.false_event_probability()
 
-    @needs_scipy
     def test_false_rate_grows_near_threshold(self):
         model = EventificationErrorModel(0.01, 15 / 255)
         assert model.false_event_probability(0.05) > model.false_event_probability(
             0.0
         )
 
-    @needs_scipy
     def test_missed_rate_shrinks_for_large_events(self):
         model = EventificationErrorModel(0.01, 15 / 255)
         assert model.missed_event_probability(0.5) < model.missed_event_probability(
@@ -58,7 +61,6 @@ class TestEventificationErrorModel:
         with pytest.raises(ValueError):
             model.missed_event_probability(0.01)
 
-    @needs_scipy
     def test_max_tolerable_noise_meets_budget(self):
         """The designed margin: at the returned noise level, the false
         rate equals the budget (the paper's 'no functional errors')."""
@@ -68,7 +70,6 @@ class TestEventificationErrorModel:
         at_limit = EventificationErrorModel(tolerable, 15 / 255)
         assert at_limit.false_event_probability() == pytest.approx(budget, rel=1e-6)
 
-    @needs_scipy
     def test_designed_operating_point_is_safe(self):
         """Our sensor's default comparator noise (1 LSB) against sigma=15
         produces essentially zero spurious events per frame."""
@@ -76,7 +77,6 @@ class TestEventificationErrorModel:
         expected = model.expected_false_events(640 * 400)
         assert expected < 1e-6
 
-    @needs_scipy
     def test_expected_false_events_includes_scene_noise(self):
         model = EventificationErrorModel(0.005, 15 / 255)
         clean = model.expected_false_events(10000, background_diff_rms=0.0)
@@ -96,11 +96,9 @@ class TestAdcErrorProbability:
     def test_zero_noise(self):
         assert adc_code_error_probability(0.0) == 0.0
 
-    @needs_scipy
     def test_monotone_in_noise(self):
         assert adc_code_error_probability(1e-3) > adc_code_error_probability(1e-4)
 
-    @needs_scipy
     def test_lower_bit_depth_more_robust(self):
         assert adc_code_error_probability(1e-3, bit_depth=8) < (
             adc_code_error_probability(1e-3, bit_depth=12)

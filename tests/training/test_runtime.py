@@ -1,7 +1,7 @@
 """Pins for the batched + sharded training runtime (the PR's contract).
 
 * ``batch_size=1`` reproduces the retired per-frame stepping **bitwise**
-  — against a transcription of the historical ``JointTrainer._train_step``
+  — against a transcription of the historical per-frame ``_train_step``
   loop under the runtime's per-sample stream semantics (the PR 1/2
   convention for deliberately redefined RNG streams);
 * the deterministic sub-kernels (vectorized eventification, the batched
@@ -25,7 +25,6 @@ from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
 from repro.training import (
     JointTrainConfig,
-    JointTrainer,
     SoftROIMask,
     TrainRunner,
     sample_stream,
@@ -60,7 +59,7 @@ def tiny_dataset(num_sequences=2, frames=5):
 def reference_joint_train(roi, vit, cfg, dataset, indices, seed):
     """Transcription of the retired per-frame ``_train_step`` loop.
 
-    Identical to the pre-runtime ``JointTrainer`` except for the stream
+    Identical to the pre-runtime joint trainer except for the stream
     semantics the runtime defines: each (epoch, sequence, frame) sample
     draws from its own :func:`sample_stream` instead of one serial
     generator, and the cue morphology is the numpy helper.  Everything
@@ -166,10 +165,10 @@ class TestBatchOnePinsLegacyLoop:
         )
 
         roi, vit = tiny_components()
-        trainer = JointTrainer(
+        runner = TrainRunner(
             roi, vit, cfg, np.random.default_rng(SEED_RNG)
         )
-        result = trainer.train(dataset, [0, 1])
+        result = runner.run(dataset, [0, 1])
 
         assert result.seg_losses == ref_seg
         assert result.roi_losses == ref_roi_losses
@@ -182,10 +181,10 @@ class TestBatchOnePinsLegacyLoop:
         for t in range(len(seq)):
             seq.roi_boxes[t] = None  # fully occluded sequence
         roi, vit = tiny_components()
-        trainer = JointTrainer(
+        runner = TrainRunner(
             roi, vit, JointTrainConfig(epochs=1), np.random.default_rng(3)
         )
-        result = trainer.train(dataset, [0])
+        result = runner.run(dataset, [0])
         assert result.roi_losses == [0.0]
 
 
@@ -224,11 +223,11 @@ class TestBatchedSchedule:
     def test_minibatched_training_runs_and_improves(self):
         dataset = tiny_dataset(num_sequences=2, frames=6)
         roi, vit = tiny_components()
-        trainer = JointTrainer(
+        runner = TrainRunner(
             roi, vit, JointTrainConfig(epochs=4, batch_size=4),
             np.random.default_rng(SEED_RNG),
         )
-        result = trainer.train(dataset, [0, 1])
+        result = runner.run(dataset, [0, 1])
         assert len(result.seg_losses) == 4
         assert all(np.isfinite(result.seg_losses))
         assert result.seg_losses[-1] < result.seg_losses[0]
@@ -240,11 +239,11 @@ class TestBatchedSchedule:
 
         def train(batch_size):
             roi, vit = tiny_components()
-            JointTrainer(
+            TrainRunner(
                 roi, vit,
                 JointTrainConfig(epochs=1, batch_size=batch_size),
                 np.random.default_rng(SEED_RNG),
-            ).train(dataset, [0, 1])
+            ).run(dataset, [0, 1])
             return roi.state_dict()
 
         a = train(1)
@@ -365,44 +364,6 @@ class TestShardedTraining:
         roi_b, res_b = train(2)
         assert res_a.roi_losses == res_b.roi_losses
         assert_states_equal(roi_a, roi_b)
-
-    def test_sharding_with_substituted_loss_rejected(self):
-        # Workers rebuild the canonical kernels; a substituted loss
-        # would be silently ignored there, breaking the worker-count
-        # neutrality contract — so run() must refuse.
-        class WeightedCE:
-            def forward(self, logits, target, mask=None):
-                return 0.0
-
-            def backward(self):
-                return np.zeros(1)
-
-        roi, vit = tiny_components()
-        runner = TrainRunner(
-            roi, vit,
-            JointTrainConfig(epochs=1, grad_accum=True),
-            np.random.default_rng(0),
-            seg_loss=WeightedCE(),
-        )
-        with pytest.raises(ValueError, match="canonical"):
-            runner.run(
-                tiny_dataset(), [0, 1], execution=Execution(workers=2)
-            )
-
-    def test_sharding_with_mismatched_soft_mask_rejected(self):
-        # A canonical-*type* mask with a different tau would also
-        # silently diverge (workers rebuild from config.tau) — the guard
-        # must compare parameters, not just types.
-        roi, vit = tiny_components()
-        cfg = JointTrainConfig(epochs=1, grad_accum=True, tau=0.05)
-        runner = TrainRunner(
-            roi, vit, cfg, np.random.default_rng(0),
-            soft_mask=SoftROIMask(SIZE, SIZE, tau=0.5),
-        )
-        with pytest.raises(ValueError, match="canonical"):
-            runner.run(
-                tiny_dataset(), [0, 1], execution=Execution(workers=2)
-            )
 
     def test_executor_without_workers_rejected(self):
         roi, vit = tiny_components()

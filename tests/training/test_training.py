@@ -7,13 +7,16 @@ from repro.core import ci
 from repro.sampling import ROIPredictor
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
+from repro.nn import CrossEntropyLoss
 from repro.training import (
     JointTrainConfig,
-    JointTrainer,
     SoftROIMask,
+    TrainRunner,
     batched,
+    collect_frame_pairs,
     train_segmentation,
 )
+from repro.training.runtime import _rank_backward
 
 RNG = np.random.default_rng(0)
 
@@ -117,16 +120,16 @@ class TestJointTrainer:
         ds = SyntheticEyeDataset(
             DatasetConfig(height=32, width=32, frames_per_sequence=6, num_sequences=2)
         )
-        trainer = JointTrainer(
+        runner = TrainRunner(
             roi, vit, JointTrainConfig(epochs=4), np.random.default_rng(6)
         )
-        result = trainer.train(ds, [0, 1])
+        result = runner.run(ds, [0, 1])
         assert result.improved
         assert result.roi_losses[-1] < result.roi_losses[0]
 
     def test_gradients_reach_roi_predictor_through_sampling(self):
-        """With ROI-loss weight zero, only the seg loss can move the ROI net
-        — verifying the approximate differentiability path of Sec. III-C."""
+        """With a zero-gradient ROI loss, only the seg loss can reach the ROI
+        net — verifying the approximate differentiability path of Sec. III-C."""
         roi, vit = tiny_components()
         # Bias the (untrained) predictor toward a large box so the random
         # sampler actually selects pixels; a fresh net outputs a ~2px box
@@ -137,14 +140,10 @@ class TestJointTrainer:
         ds = SyntheticEyeDataset(
             DatasetConfig(height=32, width=32, frames_per_sequence=4, num_sequences=1)
         )
-        trainer = JointTrainer(
-            roi, vit, JointTrainConfig(epochs=1, seg_to_roi_weight=0.5),
-            np.random.default_rng(7),
-        )
-        before = {k: v.copy() for k, v in roi.state_dict().items()}
+        cfg = JointTrainConfig(epochs=1, seg_to_roi_weight=0.5)
 
-        # Disable the direct ROI MSE contribution by zeroing its gradient:
-        # monkey-patch the loss to return zero gradient but keep the API.
+        # Disable the direct ROI MSE contribution: a loss with the MSE
+        # API whose gradient is zero.
         class ZeroMSE:
             def forward(self, pred, target, mask=None):
                 self._shape = pred.shape
@@ -153,13 +152,17 @@ class TestJointTrainer:
             def backward(self):
                 return np.zeros(self._shape)
 
-        trainer.roi_loss = ZeroMSE()
-        trainer.train(ds, [0])
-        after = roi.state_dict()
-        moved = any(
-            not np.allclose(before[k], after[k]) for k in before
+        roi.train()
+        vit.train()
+        _rank_backward(
+            roi, vit, cfg, 7, 0, collect_frame_pairs(ds, [0]),
+            seg_loss=CrossEntropyLoss(),
+            roi_loss=ZeroMSE(),
+            soft_mask=SoftROIMask(32, 32, tau=cfg.tau),
+            zero_grads=True,
         )
-        assert moved, "segmentation gradient did not reach the ROI predictor"
+        reached = any(np.any(p.grad != 0) for p in roi.parameters())
+        assert reached, "segmentation gradient did not reach the ROI predictor"
 
     def test_blink_frames_skip_roi_supervision(self):
         """Sequences with occluded frames (no GT box) still train."""
@@ -170,10 +173,10 @@ class TestJointTrainer:
         ds = SyntheticEyeDataset(cfg)
         seq = ds[0]
         seq.roi_boxes[2] = None  # force an occluded frame
-        trainer = JointTrainer(
+        runner = TrainRunner(
             roi, vit, JointTrainConfig(epochs=1), np.random.default_rng(8)
         )
-        result = trainer.train(ds, [0])
+        result = runner.run(ds, [0])
         assert len(result.seg_losses) == 1
 
     def test_ci_config_is_consistent(self):
