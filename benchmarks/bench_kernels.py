@@ -8,6 +8,7 @@ run-length codec, and the synthetic renderer.
 import numpy as np
 
 from _helpers import BENCH_HEIGHT, BENCH_WIDTH, bench_vit
+from per_row import ConstantBoxPredictor
 from repro.hardware.sensor import BlissCamSensor, RunLengthCodec
 from repro.nn import Adam, CrossEntropyLoss
 from repro.synth import EyeGeometry, EyeRenderer, EyeState
@@ -46,7 +47,7 @@ def test_sensor_capture(benchmark):
     sensor = BlissCamSensor(
         BENCH_HEIGHT,
         BENCH_WIDTH,
-        roi_predictor=lambda e, s: np.array([0.25, 0.25, 0.75, 0.75]),
+        roi_predictor=ConstantBoxPredictor([0.25, 0.25, 0.75, 0.75]),
         sampling_rate=0.2,
         seed=0,
     )

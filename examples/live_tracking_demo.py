@@ -73,7 +73,9 @@ def main() -> None:
                 print(f"frame {t:2d}: bootstrap (held in analog memory)")
                 continue
             sparse, mask = sensor.host_decode(out)
-            seg_pred = pipeline.segmenter.predict(sparse, mask)
+            seg_pred = pipeline.segmenter.predict_packed_batch(
+                sparse[None], mask[None]
+            )[0]
             prev_seg = seg_pred
             gaze = pipeline.gaze_estimator.predict(seg_pred)
             truth = seq.gazes[t]

@@ -17,6 +17,7 @@ Run:  python examples/sampling_strategy_explorer.py [compression]
 """
 
 import sys
+import zlib
 
 from repro.api import ExperimentSpec, STRATEGIES, Session
 from repro.sampling import STRATEGY_NAMES, eventify
@@ -66,7 +67,6 @@ def main() -> None:
     # The sweep's numbers came from the engine; the panels below sample
     # one demo frame directly through the same registry factories.
     from repro.api.session import system_config
-    from repro.api.workloads import strategy_rng
 
     dataset = SyntheticEyeDataset(system_config(spec).dataset)
     _, eval_idx = dataset.split()
@@ -79,9 +79,11 @@ def main() -> None:
     for name in STRATEGY_NAMES:
         # Name-keyed stream (not Python's per-process hash()): the
         # panels render identically on every run.
-        rng = strategy_rng(0, name)
         strategy = STRATEGIES.get(name)(compression, dataset)
-        decision = strategy.sample(demo_frame, demo_event, demo_box, rng)
+        sampler = strategy.spawn([0, zlib.crc32(name.encode())])
+        (decision,) = strategy.sample_batch(
+            [sampler], [demo_frame], [demo_event], [demo_box]
+        )
         panels[name] = mask_ascii(decision.mask, decision.roi_box)
 
     print("\nmasks on the same frame (o = sampled, ' = in-ROI, . = skipped):\n")

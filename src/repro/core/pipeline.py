@@ -56,11 +56,12 @@ __all__ = [
 class MarginExpandedPredictor:
     """The trained ROI predictor with the safety-margin box expansion.
 
-    A plain class (not a closure) for two engine requirements: sharded
-    execution pickles the predictor to worker processes, and the batched
-    ROI-predict stage needs the :meth:`predict_batch` fast path (bitwise
-    row-independent, see :meth:`ROIPredictor.predict_box_batch`; the
-    margin expansion itself is exact integer arithmetic per box).
+    A plain class (not a closure), because sharded execution pickles the
+    predictor to worker processes.  :meth:`predict_batch` is the
+    :class:`~repro.sampling.roi.BoxPredictor` protocol the sensor and the
+    ROI stage call: bitwise row-independent (see
+    :meth:`ROIPredictor.predict_box_batch`; the margin expansion itself
+    is exact integer arithmetic per box).
     """
 
     roi_predictor: ROIPredictor
@@ -72,11 +73,6 @@ class MarginExpandedPredictor:
         pixel_box = box_to_pixels(box, self.height, self.width)
         pixel_box = expand_box(pixel_box, self.margin, self.height, self.width)
         return box_from_pixels(pixel_box, self.height, self.width)
-
-    def __call__(
-        self, event_map: np.ndarray, prev_seg: np.ndarray | None
-    ) -> np.ndarray:
-        return self._expand(self.roi_predictor.predict_box(event_map, prev_seg))
 
     def predict_batch(
         self,

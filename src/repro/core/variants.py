@@ -9,6 +9,7 @@ gaze error on held-out frames sampled by S*.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,36 +84,39 @@ def make_strategy(name: str, compression: float, dataset=None) -> SamplingStrate
     return STRATEGIES.get(name)(compression, dataset)
 
 
-def _frame_decisions(
-    strategy: SamplingStrategy,
-    dataset: SyntheticEyeDataset,
-    indices: list[int],
-    rng: np.random.Generator,
-    use_gt_roi: bool = True,
-):
-    """Yield (decision, frame, seg_target, gaze, seq_index, t) per frame pair."""
-    for prev, cur, seg, gaze, gt_box, seq_index, t in dataset.frame_pairs(indices):
-        event_map = eventify(prev, cur)
-        roi_box = gt_box if use_gt_roi else None
-        decision = strategy.sample(cur, event_map, roi_box, rng)
-        yield decision, cur, seg, gaze, seq_index, t
-
-
 def collect_sampled_dataset(
     strategy: SamplingStrategy,
     dataset: SyntheticEyeDataset,
     indices: list[int],
     rng: np.random.Generator,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Build (sparse_frame, mask, target) training samples under a strategy."""
-    samples = []
-    for decision, _cur, seg, _gaze, _si, _t in _frame_decisions(
-        strategy, dataset, indices, rng
-    ):
-        if decision.reuse_previous:
-            continue  # SKIP transmits nothing; no training sample
-        samples.append((decision.sparse_frame, decision.mask, seg))
-    return samples
+    """Build (sparse_frame, mask, target) training samples under a strategy.
+
+    Every frame pair of ``indices`` is one row of a single
+    :meth:`~repro.sampling.strategies.SamplingStrategy.sample_batch`
+    rank, and every row is the same collector: a copy of ``strategy``
+    drawing from ``rng``.  A rank draws per row in rank order, so the
+    collector consumes ``rng`` frame by frame in dataset order, and its
+    adaptive state (Skip's gate) carries from frame to frame and back
+    into ``strategy`` for the next collection.
+    """
+    pairs = list(dataset.frame_pairs(indices))
+    if not pairs:
+        return []
+    prevs, frames, segs, _gazes, gt_boxes, _seqs, _ts = zip(*pairs)
+    event_maps = eventify(np.stack(prevs), np.stack(frames))
+    collector = copy.copy(strategy)
+    collector.rng = rng
+    decisions = strategy.sample_batch(
+        [collector] * len(pairs), list(frames), list(event_maps), list(gt_boxes)
+    )
+    vars(strategy).update(vars(collector), rng=strategy.rng)
+    return [
+        (decision.sparse_frame, decision.mask, seg)
+        for decision, seg in zip(decisions, segs)
+        # SKIP transmits nothing on a reused frame: no training sample.
+        if not decision.reuse_previous
+    ]
 
 
 def train_for_strategy(
@@ -122,13 +126,11 @@ def train_for_strategy(
     indices: list[int],
     epochs: int,
     rng: np.random.Generator,
-    lr: float = 3e-3,
-    batch_size: int = 4,
 ):
     """Train ``segmenter`` on frames sampled by ``strategy``.
 
     Executes on :func:`repro.training.runtime.train_segmentation`: each
-    ``batch_size`` minibatch is one model rank.
+    minibatch is one model rank.
 
     Stochastic strategies draw a *fresh* mask every epoch — the same
     regime as the real sensor, whose SRAM RNG resamples each frame.  This
@@ -150,10 +152,7 @@ def train_for_strategy(
             samples = collect_sampled_dataset(strategy, dataset, indices, rng)
         if not samples:
             raise NoTrainingSamples("strategy produced no training samples")
-        epoch_result = train_segmentation(
-            segmenter, samples, epochs=1, rng=rng, lr=lr,
-            batch_size=batch_size,
-        )
+        epoch_result = train_segmentation(segmenter, samples, epochs=1, rng=rng)
         if result is None:
             result = epoch_result
         else:

@@ -15,7 +15,7 @@ processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.engine.stages import (
     StatsCollectorStage,
     StrategySampleStage,
 )
+from repro.sampling.roi import BoxPredictor
 
 __all__ = [
     "build_tracking_graph",
@@ -47,7 +48,7 @@ __all__ = [
 
 def build_tracking_graph(
     *,
-    predictor: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+    predictor: BoxPredictor,
     segmenter,
     gaze_estimator,
     height: int,
@@ -56,9 +57,9 @@ def build_tracking_graph(
 ) -> StageGraph:
     """The full BlissCam dataflow as a stage graph.
 
-    ``predictor`` is the (margin-expanded) ROI predictor callable; the
-    reuse policy wraps it as a first-class stage — no sensor internals are
-    touched.
+    ``predictor`` is the (margin-expanded) ROI predictor; the reuse
+    policy wraps its stage as a first-class stage — no sensor internals
+    are touched.
     """
     tokens_total = segmenter.config.tokens
     return StageGraph(
@@ -70,7 +71,7 @@ def build_tracking_graph(
             SampleStage(),
             ReadoutStage(),
             SegmentStage(segmenter),
-            GazeRegressStage(gaze_estimator, per_sequence_state=True),
+            GazeRegressStage(gaze_estimator),
             StatsCollectorStage(tokens_total, segmenter.config.patch),
         ]
     )
@@ -142,11 +143,7 @@ def build_strategy_graph(
             EventifyPairStage(sigma=sigma),
             StrategySampleStage(strategy, strategy_seed, use_gt_roi=use_gt_roi),
             SegmentOrReuseStage(segmenter),
-            # Per-sequence fallback state, like the tracking graph: the
-            # estimator's last-gaze fallback must not cross sequence
-            # boundaries or results would depend on the lockstep width
-            # and the sharding.
-            GazeRegressStage(gaze_estimator, per_sequence_state=True),
+            GazeRegressStage(gaze_estimator),
         ]
     )
 

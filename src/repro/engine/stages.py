@@ -24,18 +24,18 @@ Strategy graph (Fig. 12/15 harness, extracted from
                         previous map
 
 Each stage has one kernel, ``process_batch``, over a lockstep rank of
-frames.  Work that stacks (comparator decisions, popcounts, the packed
-ViT, centroid sums) runs once per rank; per-sequence random streams and
-the few inputs without a batched seam (plain-callable ROI predictors,
-estimators without ``predict_from_centroid``, conv segmenters still in
-training mode) run per row inside the same kernel.  Every kernel is
-pinned bitwise against the frozen per-row bodies in
+frames, and each model it calls has one way in, its batch form: the ROI
+predictor's ``predict_batch``, the segmenters' ``predict_batch`` /
+``predict_packed_batch``, the strategies' ``sample_batch`` and the gaze
+estimator's ``predict_from_centroid`` behind one stacked centroid pass.
+Work that stacks (comparator decisions, popcounts, the packed ViT,
+centroid sums) runs once per rank; per-sequence random streams and the
+per-row regression tail run per row inside the same kernel.  Every
+kernel is pinned bitwise against the frozen per-row bodies in
 ``tests/engine/per_row.py``.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -44,7 +44,13 @@ from repro.engine.stage import Stage
 from repro.gaze.estimation import pupil_centroid_batch
 from repro.sampling import random_sampling as rs
 from repro.sampling.eventification import eventify
-from repro.sampling.roi import ROIReusePolicy, box_iou, box_to_pixels, order_box
+from repro.sampling.roi import (
+    BoxPredictor,
+    ROIReusePolicy,
+    box_iou,
+    box_to_pixels,
+    order_box,
+)
 
 __all__ = [
     "EventifyStage",
@@ -95,32 +101,19 @@ class ROIPredictStage(Stage):
 
     name = "roi_predict"
 
-    def __init__(
-        self,
-        predictor: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
-        height: int,
-        width: int,
-    ):
+    def __init__(self, predictor: BoxPredictor, height: int, width: int):
         self.predictor = predictor
         self.height = height
         self.width = width
 
     def process_batch(self, ctxs, seqs) -> None:
-        # Predictors exposing ``predict_batch`` guarantee row-independent
-        # forwards (the conv is a per-sample GEMM, the FC tail runs
-        # per-row), so stacking the rank is bitwise-identical to calling
-        # them frame by frame.  Plain callables are called per row.
-        batch = getattr(self.predictor, "predict_batch", None)
-        if batch is None:
-            boxes = [
-                self.predictor(ctx.event_map, seq.prev_seg_pred)
-                for ctx, seq in zip(ctxs, seqs)
-            ]
-        else:
-            boxes = batch(
-                [ctx.event_map for ctx in ctxs],
-                [seq.prev_seg_pred for seq in seqs],
-            )
+        # ``predict_batch`` is row-independent (the conv is a per-sample
+        # GEMM, the FC tail runs per-row), so stacking the rank is
+        # bitwise-identical to predicting each frame alone.
+        boxes = self.predictor.predict_batch(
+            [ctx.event_map for ctx in ctxs],
+            [seq.prev_seg_pred for seq in seqs],
+        )
         for ctx, box in zip(ctxs, boxes):
             box_norm = order_box(np.asarray(box))
             ctx.roi_box_norm = box_norm
@@ -242,46 +235,31 @@ class GazeRegressStage(Stage):
     """Calibrated gaze regression on the predicted segmentation map.
 
     The fitted estimator keeps a last-prediction fallback for frames where
-    the pupil is occluded; with ``per_sequence_state`` the fallback is
-    tracked per sequence (required for results independent of the
-    lockstep width),
-    otherwise the estimator's own cross-sequence state is used (the
-    historical behaviour of the strategy harness).
+    the pupil is occluded; the fallback is tracked per sequence, so
+    results are independent of the lockstep width and the sharding.
     """
 
     name = "gaze"
 
-    def __init__(self, estimator, per_sequence_state: bool = True):
+    def __init__(self, estimator):
         self.estimator = estimator
-        self.per_sequence_state = per_sequence_state
 
     def start_sequence(self, seq: SequenceState) -> None:
-        if self.per_sequence_state:
-            seq.slots[self.name] = self.estimator.INITIAL_FALLBACK
+        seq.slots[self.name] = self.estimator.INITIAL_FALLBACK
 
     def process_batch(self, ctxs, seqs) -> None:
         # The O(B*H*W) centroid extraction stacks across the rank
         # (integer index sums — exact, see pupil_centroid_batch); the
-        # tiny per-row regression tail runs in rank order, which also
-        # threads the fallback state through the per-sequence slots or
-        # the shared estimator.  Estimators without the centroid seam
-        # regress each row's map whole.
+        # tiny per-row regression tail runs in rank order, threading the
+        # fallback state through the per-sequence slots.
         est = self.estimator
-        from_centroid = getattr(est, "predict_from_centroid", None)
-        if from_centroid is None:
-            inputs, predict = [ctx.seg_pred for ctx in ctxs], est.predict
-        else:
-            inputs = pupil_centroid_batch(
-                np.stack([ctx.seg_pred for ctx in ctxs])
-            )
-            predict = from_centroid
-        for ctx, seq, x in zip(ctxs, seqs, inputs):
-            if self.per_sequence_state:
-                est.fallback_state = seq.slots[self.name]
-                ctx.gaze_pred = predict(x)
-                seq.slots[self.name] = est.fallback_state
-            else:
-                ctx.gaze_pred = predict(x)
+        centroids = pupil_centroid_batch(
+            np.stack([ctx.seg_pred for ctx in ctxs])
+        )
+        for ctx, seq, centroid in zip(ctxs, seqs, centroids):
+            est.fallback_state = seq.slots[self.name]
+            ctx.gaze_pred = est.predict_from_centroid(centroid)
+            seq.slots[self.name] = est.fallback_state
 
 
 class StatsCollectorStage(Stage):
@@ -408,12 +386,11 @@ class SegmentOrReuseStage(Stage):
 
     def process_batch(self, ctxs, seqs) -> None:
         # Split the rank: reuse rows copy their sequence's previous map,
-        # compute rows run one stacked dense forward through each
+        # compute rows run one stacked dense forward through the
         # backend's predict_batch — row-independent for the ViT (fixed
-        # token grid) and for the conv nets in eval mode, so equal to the
-        # dense per-frame predict.  Segmenters without a batched forward,
-        # or still in training mode (where batch norm couples rows
-        # through batch statistics), predict row by row.
+        # token grid) and for the conv nets in eval mode (in training
+        # mode their batch norm couples rows, and predict_batch raises
+        # TrainingModeError rather than run).
         compute: list[tuple[FrameContext, SequenceState]] = []
         for ctx, seq in zip(ctxs, seqs):
             if ctx.reuse_previous and seq.prev_seg_pred is not None:
@@ -423,20 +400,10 @@ class SegmentOrReuseStage(Stage):
                 compute.append((ctx, seq))
         if not compute:
             return
-        batch = getattr(self.segmenter, "predict_batch", None)
-        requires_eval = getattr(self.segmenter, "predict_batch_requires_eval", True)
-        if batch is None or (
-            requires_eval and getattr(self.segmenter, "training", False)
-        ):
-            segs = [
-                self.segmenter.predict(ctx.sparse_frame, ctx.mask)
-                for ctx, _ in compute
-            ]
-        else:
-            segs = batch(
-                np.stack([ctx.sparse_frame for ctx, _ in compute]),
-                np.stack([ctx.mask for ctx, _ in compute]),
-            )
+        segs = self.segmenter.predict_batch(
+            np.stack([ctx.sparse_frame for ctx, _ in compute]),
+            np.stack([ctx.mask for ctx, _ in compute]),
+        )
         for (ctx, seq), seg in zip(compute, segs):
             ctx.seg_pred = seg
             seq.prev_seg_pred = seg

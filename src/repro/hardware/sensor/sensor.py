@@ -8,9 +8,10 @@ Fig. 8/9/10/11:
 2. **eventification** — the analog frame difference against the value
    held on the AZ capacitor is compared with +/- sigma (two sequential
    comparator decisions), with comparator offset noise;
-3. **ROI prediction** — a pluggable predictor (the trained
-   :class:`~repro.sampling.roi.ROIPredictor`) maps the event map plus the
-   fed-back previous segmentation map to a normalized box;
+3. **ROI prediction** — a pluggable
+   :class:`~repro.sampling.roi.BoxPredictor` (the trained, margin-expanded
+   ROI DNN) maps the event map plus the fed-back previous segmentation
+   map to a normalized box;
 4. **random sampling** — the SRAM power-up RNG and the 4-bit threshold
    LUT decide, per pixel, whether to quantize;
 5. **sparse readout** — sampled pixels inside the ROI are quantized by
@@ -25,7 +26,6 @@ sparse frame + mask the segmentation network consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,12 +35,9 @@ from repro.hardware.sensor.readout import ReadoutResult, SparseReadout
 from repro.hardware.sensor.rle import RleStats, RunLengthCodec
 from repro.hardware.sensor.sram_rng import SramPowerUpRNG, ThresholdLUT
 from repro.sampling.eventification import DEFAULT_SIGMA
-from repro.sampling.roi import box_to_pixels, order_box
+from repro.sampling.roi import BoxPredictor, box_to_pixels, order_box
 
 __all__ = ["BlissCamSensor", "SensorFrameOutput"]
-
-#: A predictor maps (event_map, prev_segmentation | None) -> normalized box.
-RoiPredictorFn = Callable[[np.ndarray, np.ndarray | None], np.ndarray]
 
 
 @dataclass
@@ -71,7 +68,7 @@ class BlissCamSensor:
         self,
         height: int,
         width: int,
-        roi_predictor: RoiPredictorFn,
+        roi_predictor: BoxPredictor,
         sampling_rate: float = 0.2,
         sigma: float = DEFAULT_SIGMA,
         pixel: PixelCircuit = BLISSCAM_DPS,
@@ -275,9 +272,10 @@ class BlissCamSensor:
         if event_map is None:
             return None
 
-        box_norm = order_box(
-            np.asarray(self.roi_predictor(event_map, prev_segmentation))
+        (box,) = self.roi_predictor.predict_batch(
+            [event_map], [prev_segmentation]
         )
+        box_norm = order_box(np.asarray(box))
         pixel_box = box_to_pixels(box_norm, self.height, self.width)
 
         # SRAM power-up RNG decides sampling for every pixel; only those

@@ -18,7 +18,7 @@ from repro.nn.conv import (
 from repro.nn.layers import Dropout, Flatten, Linear, Residual
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.norm import BatchNorm2d, LayerNorm
+from repro.nn.norm import BatchNorm2d, LayerNorm, TrainingModeError
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.quantize import dequantize_tensor, quantize_module, quantize_tensor
 from repro.nn.serialize import load_checkpoint, save_checkpoint
@@ -38,6 +38,7 @@ __all__ = [
     "UpsampleNearest2d",
     "LayerNorm",
     "BatchNorm2d",
+    "TrainingModeError",
     "ReLU",
     "LeakyReLU",
     "GELU",

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.module import Module, Parameter
 
-__all__ = ["LayerNorm", "BatchNorm2d"]
+__all__ = ["LayerNorm", "BatchNorm2d", "TrainingModeError"]
 
 
 class LayerNorm(Module):
@@ -37,6 +37,11 @@ class LayerNorm(Module):
         mean_g = g.mean(axis=-1, keepdims=True)
         mean_gx = (g * x_hat).mean(axis=-1, keepdims=True)
         return inv_std * (g - mean_g - x_hat * mean_gx)
+
+
+class TrainingModeError(RuntimeError):
+    """A row-independent forward was asked of a net still in training
+    mode, whose batch norm couples the rows through batch statistics."""
 
 
 class BatchNorm2d(Module):

@@ -13,6 +13,7 @@ Box convention throughout the library: ``(r0, c0, r1, c1)`` normalized to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from repro import nn
 from repro.synth.eye_model import NUM_CLASSES
 
 __all__ = [
+    "BoxPredictor",
     "ROIPredictor",
     "ROIReusePolicy",
     "box_to_pixels",
@@ -108,6 +110,21 @@ def expand_box(
     )
 
 
+class BoxPredictor(Protocol):
+    """What the sensor and the engine's ROI stage call to place the ROI.
+
+    ``predict_batch`` maps a rank of event maps and fed-back previous
+    segmentations (``None`` before the first) to one normalized box per
+    row, each row computed from its own inputs alone.
+    """
+
+    def predict_batch(
+        self,
+        event_maps: list[np.ndarray],
+        prev_segs: list[np.ndarray | None],
+    ) -> list[np.ndarray]: ...
+
+
 class ROIPredictor(nn.Module):
     """3-conv + 2-FC bounding-box regressor (the in-sensor ROI DNN).
 
@@ -177,26 +194,20 @@ class ROIPredictor(nn.Module):
         grad = self.conv2.backward(self.act2.backward(grad))
         return self.conv1.backward(self.act1.backward(grad))
 
-    def predict_box(
-        self, event_map: np.ndarray, prev_segmentation: np.ndarray | None
-    ) -> np.ndarray:
-        """Convenience: event map (+ prev seg) -> ordered normalized box."""
-        out = self.forward(self.make_input(event_map, prev_segmentation))
-        return order_box(out[0])
-
     def predict_box_batch(
         self,
         event_maps: list[np.ndarray],
         prev_segmentations: list[np.ndarray | None],
     ) -> list[np.ndarray]:
-        """Batched :meth:`predict_box`, bitwise-equal to the per-frame loop.
+        """Ordered normalized boxes for a rank of event maps (+ prev segs).
 
-        The conv trunk is safe to stack: im2col is a pure gather and the
-        conv GEMM is row-independent by construction (one fixed-shape
-        matmul per sample — see :class:`~repro.nn.conv.Conv2d`).  The FC
-        tail is *not* provably batch-invariant (a stacked ``(B, F) @
-        (F, O)`` BLAS call may block differently per ``B``), so it runs
-        per-row — it is a tiny fraction of the predictor's MACs.
+        Each row equals a one-frame forward bitwise.  The conv trunk is
+        safe to stack: im2col is a pure gather and the conv GEMM is
+        row-independent by construction (one fixed-shape matmul per
+        sample — see :class:`~repro.nn.conv.Conv2d`).  The FC tail is
+        *not* provably batch-invariant (a stacked ``(B, F) @ (F, O)``
+        BLAS call may block differently per ``B``), so it runs per-row —
+        it is a tiny fraction of the predictor's MACs.
         """
         x = np.concatenate(
             [

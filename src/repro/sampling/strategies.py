@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sampling import random_sampling as rs
-from repro.sampling.eventification import event_density
 
 __all__ = [
     "SamplingDecision",
@@ -82,7 +81,7 @@ class SamplingStrategy:
     """Base interface: produce a :class:`SamplingDecision` per frame."""
 
     name = "base"
-    #: True when :meth:`sample` draws from the per-frame RNG stream —
+    #: True when :meth:`sample_batch` draws from each row's RNG stream —
     #: stochastic strategies produce a fresh mask on every call, while
     #: deterministic ones (Full+DS, Skip, ROI+DS, ROI+Fixed) are a pure
     #: function of the frame inputs and their own per-sequence state.
@@ -96,13 +95,14 @@ class SamplingStrategy:
         #: stream so execution order (lockstep, sharding) can't change
         #: what each sequence draws.
         self.rng: np.random.Generator | None = None
+        self._reset_state()
 
     def spawn(self, seed_key) -> "SamplingStrategy":
         """A per-sequence clone with fresh adaptive state and RNG stream.
 
         Mirrors :meth:`BlissCamSensor.spawn`: everything fixed at
-        construction/fit time (compression target, fitted masks, scorers)
-        is shared, while the mutable per-sequence pieces — the adaptive
+        construction/fit time (compression target, fitted masks) is
+        shared, while the mutable per-sequence pieces — the adaptive
         state (:meth:`_reset_state`) and the random stream keyed by
         ``seed_key`` — are independent.  The staged engine spawns one
         clone per evaluated sequence, keyed by sequence index, which is
@@ -118,15 +118,6 @@ class SamplingStrategy:
     def _reset_state(self) -> None:
         """Reset per-sequence adaptive state (overridden by Skip)."""
 
-    def sample(
-        self,
-        frame: np.ndarray,
-        event_map: np.ndarray,
-        roi_box: tuple[int, int, int, int] | None,
-        rng: np.random.Generator,
-    ) -> SamplingDecision:
-        raise NotImplementedError
-
     def sample_batch(
         self,
         strategies: list["SamplingStrategy"],
@@ -134,23 +125,18 @@ class SamplingStrategy:
         event_maps: list[np.ndarray],
         roi_boxes: list[tuple[int, int, int, int] | None],
     ) -> list[SamplingDecision]:
-        """Batched :meth:`sample` over one lockstep rank, bitwise row-equal.
+        """One :class:`SamplingDecision` per row of a lockstep rank.
 
-        ``strategies`` are per-sequence :meth:`spawn` clones of this
-        template, in rank order.  Overrides vectorize the mask and
+        ``strategies`` are the rank's samplers in row order: per-sequence
+        :meth:`spawn` clones of this template in the engine, or one
+        collector repeated for every row when training data is collected
+        from a single stream.  Implementations vectorize the mask and
         sparse-frame math across the rank but must draw any randomness
-        per-row from each spawn's *own* generator, in rank order, so
-        every sequence's stream consumes exactly what the scalar path
-        would — that invariant is what keeps every lockstep width and
-        sharding bitwise identical.  The base implementation is
-        the per-row reference the overrides are pinned against.
+        per row from each row's *own* ``rng``, in rank order, and keep
+        adaptive state on the row's strategy — that invariant is what
+        keeps every lockstep width and sharding bitwise identical.
         """
-        return [
-            s.sample(frame, event_map, roi_box, s.rng)
-            for s, frame, event_map, roi_box in zip(
-                strategies, frames, event_maps, roi_boxes
-            )
-        ]
+        raise NotImplementedError
 
     def _full_frame_box(self, frame: np.ndarray) -> tuple[int, int, int, int]:
         return (0, 0, frame.shape[0], frame.shape[1])
@@ -161,15 +147,11 @@ class FullRandom(SamplingStrategy):
 
     name = "Full+Random"
 
-    def sample(self, frame, event_map, roi_box, rng):
-        mask = rs.random_mask(frame.shape, 1.0 / self.compression, rng)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
-
     def sample_batch(self, strategies, frames, event_maps, roi_boxes):
         rate = 1.0 / self.compression
-        # Per-row draws from each spawn's own stream, rank order — same
-        # values the scalar path would consume; the compare and the
-        # sparse multiply are elementwise, so stacking is exact.
+        # Per-row draws from each row's own stream, in rank order; the
+        # compare and the sparse multiply are elementwise, so stacking
+        # is exact.
         draws = np.stack(
             [s.rng.random(f.shape) for s, f in zip(strategies, frames)]
         )
@@ -186,10 +168,6 @@ class FullDownsample(SamplingStrategy):
 
     name = "Full+DS"
     stochastic = False
-
-    def sample(self, frame, event_map, roi_box, rng):
-        mask = rs.uniform_grid_mask(frame.shape, 1.0 / self.compression)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
 
     def sample_batch(self, strategies, frames, event_maps, roi_boxes):
         # The grid is a pure function of shape and compression: one
@@ -216,36 +194,16 @@ class SkipStrategy(SamplingStrategy):
     name = "Skip"
     stochastic = False
 
-    def __init__(self, compression: float, density_threshold: float | None = None):
-        super().__init__(compression)
-        self.density_threshold = (
-            density_threshold if density_threshold is not None else 0.01
-        )
-        self._frames_seen = 0
-        self._frames_sent = 0
+    #: Event density below which a frame counts as quiet; the gate
+    #: halves or doubles it as the running send rate falls below or
+    #: rises above the compression target.
+    density_threshold = 0.01
 
     def _reset_state(self) -> None:
         # The adaptive send-rate gate restarts per sequence: spawned
         # clones must not inherit another sequence's running skip rate.
         self._frames_seen = 0
         self._frames_sent = 0
-
-    def sample(self, frame, event_map, roi_box, rng):
-        self._frames_seen += 1
-        target_send_rate = 1.0 / self.compression
-        sent_rate = self._frames_sent / max(1, self._frames_seen)
-        # Adaptive gate: lean toward sending when under budget.
-        threshold = self.density_threshold * (
-            2.0 if sent_rate > target_send_rate else 0.5
-        )
-        if event_density(event_map) < threshold:
-            mask = np.zeros(frame.shape, dtype=bool)
-            return SamplingDecision(
-                mask, np.zeros_like(frame), None, reuse_previous=True
-            )
-        self._frames_sent += 1
-        mask = np.ones(frame.shape, dtype=bool)
-        return SamplingDecision(mask, frame.copy(), self._full_frame_box(frame))
 
     def sample_batch(self, strategies, frames, event_maps, roi_boxes):
         # The densities vectorize (integer popcount over the rank, then
@@ -287,12 +245,6 @@ class ROIDownsample(SamplingStrategy):
 
     name = "ROI+DS"
     stochastic = False
-
-    def sample(self, frame, event_map, roi_box, rng):
-        box = roi_box or self._full_frame_box(frame)
-        rate = _in_roi_rate(frame.shape, box, self.compression)
-        mask = rs.uniform_mask_in_box(frame.shape, box, rate)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
 
     def sample_batch(self, strategies, frames, event_maps, roi_boxes):
         # Box shapes differ per row, so the grid construction stays
@@ -345,10 +297,6 @@ class ROIFixed(SamplingStrategy):
         mask[top] = True
         return mask.reshape(frame_shape)
 
-    def sample(self, frame, event_map, roi_box, rng):
-        mask = self._fixed_mask(frame.shape, frame.size)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
-
     def sample_batch(self, strategies, frames, event_maps, roi_boxes):
         # The mask is a pure function of fit-time state shared by every
         # spawn: one top-K serves the rank, one stacked multiply builds
@@ -366,39 +314,20 @@ class ROILearned(SamplingStrategy):
 
     The paper implements this with an extra in-sensor ViT and finds the
     accuracy comparable to random sampling but the hardware cost
-    intolerable.  Here the scorer is any callable mapping a frame to a
-    per-pixel importance map (the default uses the event map blurred by a
-    box filter as a stand-in for a trained scorer; a trained
-    :class:`~repro.sampling.roi.ROIPredictor`-style scorer can be plugged
-    in).  Top-K pixels inside the ROI are transmitted.
+    intolerable.  Here the score map is the event map blurred by a box
+    filter, a stand-in for a trained scorer; the top-K pixels inside the
+    ROI are transmitted.
     """
 
     name = "ROI+Learned"
 
-    def __init__(self, compression: float, scorer=None):
-        super().__init__(compression)
-        self.scorer = scorer
-
     @staticmethod
-    def _default_score(frame: np.ndarray, event_map: np.ndarray) -> np.ndarray:
-        # Box-blurred event density: a cheap learned-importance surrogate.
-        kernel = 5
-        padded = np.pad(event_map.astype(np.float64), kernel // 2, mode="edge")
-        out = np.zeros_like(event_map, dtype=np.float64)
-        for dr in range(kernel):
-            for dc in range(kernel):
-                out += padded[
-                    dr : dr + event_map.shape[0], dc : dc + event_map.shape[1]
-                ]
-        return out
+    def _score_batch(event_maps: np.ndarray) -> np.ndarray:
+        """Box-blurred event density over a stacked ``(B, H, W)`` rank.
 
-    @staticmethod
-    def _default_score_batch(event_maps: np.ndarray) -> np.ndarray:
-        """:meth:`_default_score` over a stacked ``(B, H, W)`` rank.
-
-        The dr/dc shift-accumulate runs in the identical order as the
-        scalar blur, so every float64 partial sum matches per pixel —
-        each row is bitwise-equal to the per-frame score map.
+        A cheap learned-importance surrogate.  The dr/dc shift-accumulate
+        is elementwise across rows, so each row's float64 partial sums
+        are those of blurring that frame alone.
         """
         kernel = 5
         pad = kernel // 2
@@ -431,26 +360,11 @@ class ROILearned(SamplingStrategy):
         mask &= np.isfinite(flat)
         return mask.reshape(frame.shape)
 
-    def sample(self, frame, event_map, roi_box, rng):
-        box = roi_box or self._full_frame_box(frame)
-        if self.scorer is not None:
-            scores = self.scorer(frame, event_map)
-        else:
-            scores = self._default_score(frame, event_map)
-        mask = self._select(scores, box, frame, rng)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
-
     def sample_batch(self, strategies, frames, event_maps, roi_boxes):
-        # The default box-blur scorer vectorizes over the rank; custom
-        # scorers keep their per-frame contract.  Tie-break draws and the
-        # box-restricted top-K stay per-row (own stream, varying boxes).
-        if self.scorer is not None:
-            score_rows = [
-                self.scorer(f, e) for f, e in zip(frames, event_maps)
-            ]
-        else:
-            stacked_scores = self._default_score_batch(np.stack(event_maps))
-            score_rows = list(stacked_scores)
+        # The box-blur scores vectorize over the rank; tie-break draws
+        # and the box-restricted top-K stay per-row (own stream, varying
+        # boxes).
+        score_rows = self._score_batch(np.stack(event_maps))
         boxes, masks = [], []
         for s, frame, scores, roi_box in zip(
             strategies, frames, score_rows, roi_boxes
@@ -471,16 +385,9 @@ class ROIRandom(SamplingStrategy):
 
     name = "Ours (ROI+Random)"
 
-    def sample(self, frame, event_map, roi_box, rng):
-        box = roi_box or self._full_frame_box(frame)
-        rate = _in_roi_rate(frame.shape, box, self.compression)
-        mask = rs.random_mask_in_box(frame.shape, box, rate, rng)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
-
     def sample_batch(self, strategies, frames, event_maps, roi_boxes):
-        # Box-shaped draws stay per-row from each spawn's own stream
-        # (box sizes differ per sequence, and the draw shape must match
-        # the scalar path exactly); the sparse multiply stacks.
+        # Box-shaped draws stay per-row from each row's own stream (box
+        # sizes differ per sequence); the sparse multiply stacks.
         boxes, masks = [], []
         for s, frame, roi_box in zip(strategies, frames, roi_boxes):
             box = roi_box or self._full_frame_box(frame)

@@ -47,10 +47,6 @@ class _SeparableBlock(nn.Module):
 class EdGazeNet(nn.Module):
     """Depthwise-separable segmenter; logits returned as ``(B, H, W, K)``."""
 
-    #: Training-mode batch norm couples rows through batch statistics,
-    #: so the engine only batches ``predict_batch`` on eval-mode nets.
-    predict_batch_requires_eval = True
-
     def __init__(
         self,
         rng: np.random.Generator,
@@ -91,20 +87,21 @@ class EdGazeNet(nn.Module):
         grad = self.down1.backward(grad)
         return self.stem.backward(self.stem_act.backward(grad))
 
-    def predict(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        logits = self.forward(frame[None], mask[None])
-        return np.argmax(logits[0], axis=-1)
-
     def predict_batch(self, frames: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Batched :meth:`predict` over ``(B, H, W)`` stacks, bitwise row-equal.
+        """Integer segmentation maps for ``(B, H, W)`` stacks.
 
         The trunk is row-independent in eval mode: convolutions run as
         per-sample GEMMs, batch norm applies frozen running statistics
         elementwise, and the argmax reduces per pixel, so stacking the
         rank cannot change any row (pinned by the batch-invariance
-        tests).  Only valid on eval-mode networks — training-mode batch
-        norm couples rows through batch statistics.
+        tests).  Training-mode batch norm couples rows through batch
+        statistics, so training mode raises
+        :class:`~repro.nn.TrainingModeError`.
         """
+        if self.training:
+            raise nn.TrainingModeError(
+                "EdGazeNet.predict_batch needs eval mode; call .eval() first"
+            )
         return np.argmax(self.forward(frames, masks), axis=-1)
 
     def mac_count(self, height: int, width: int) -> int:

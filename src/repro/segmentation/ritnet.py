@@ -44,10 +44,6 @@ class _ConvBlock(nn.Module):
 class RITNet(nn.Module):
     """U-Net segmenter; logits returned as ``(B, H, W, K)``."""
 
-    #: Training-mode batch norm couples rows through batch statistics,
-    #: so the engine only batches ``predict_batch`` on eval-mode nets.
-    predict_batch_requires_eval = True
-
     def __init__(
         self,
         rng: np.random.Generator,
@@ -104,19 +100,18 @@ class RITNet(nn.Module):
         grad_s1 = self.pool1.backward(grad_p1) + grad_s1_a
         return self.enc1.backward(grad_s1)
 
-    def predict(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Single frame -> integer segmentation map."""
-        logits = self.forward(frame[None], mask[None])
-        return np.argmax(logits[0], axis=-1)
-
     def predict_batch(self, frames: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Batched :meth:`predict` over ``(B, H, W)`` stacks, bitwise row-equal.
+        """Integer segmentation maps for ``(B, H, W)`` stacks.
 
         Same contract as ``EdGazeNet.predict_batch``: the U-Net trunk is
         row-independent in eval mode (per-sample conv GEMMs, frozen batch
-        norm, per-pixel argmax), so each row matches the per-frame call.
-        Only valid on eval-mode networks.
+        norm, per-pixel argmax), so each row matches a one-frame call.
+        Raises :class:`~repro.nn.TrainingModeError` in training mode.
         """
+        if self.training:
+            raise nn.TrainingModeError(
+                "RITNet.predict_batch needs eval mode; call .eval() first"
+            )
         return np.argmax(self.forward(frames, masks), axis=-1)
 
     def mac_count(self, height: int, width: int) -> int:

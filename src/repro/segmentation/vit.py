@@ -78,11 +78,6 @@ class ViTConfig:
 class ViTSegmenter(nn.Module):
     """Sparse-input ViT segmentation network with full backprop."""
 
-    #: The forward has no batch-coupled modules (LayerNorm and masked
-    #: attention are per-row regardless of ``training``), so the engine
-    #: may batch ``predict_batch`` even on a net still in training mode.
-    predict_batch_requires_eval = False
-
     def __init__(self, config: ViTConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
@@ -199,27 +194,22 @@ class ViTSegmenter(nn.Module):
         return grad_pix, grad_bit
 
     # -- inference -----------------------------------------------------------
-    def predict(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Single sparse frame -> integer segmentation map (argmax layer)."""
-        logits = self.forward(frame[None], mask[None])
-        return np.argmax(logits[0], axis=-1)
-
     def predict_batch(self, frames: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Dense :meth:`predict` over a ``(B, H, W)`` rank, bitwise row-equal.
+        """Integer segmentation maps from the dense masked forward.
 
-        One stacked dense forward: every row keeps the full token grid,
-        so the rank is a single fixed-shape group — the same
+        One stacked dense forward over a ``(B, H, W)`` rank: every row
+        keeps the full token grid, so the rank is a single fixed-shape
+        group and each row equals a one-frame call — the same
         row-independence property :meth:`predict_packed_batch` exploits
         per valid-token-count group (see its caveat on BLAS behaviour).
-        The strategy graph's segment-or-reuse stage batches through this
-        because its scalar reference is the dense :meth:`predict`, not
-        the packed path.
+        The forward has no batch-coupled modules (LayerNorm and masked
+        attention are per-row), so this holds in training mode too.
         """
         return np.argmax(self.forward(frames, masks), axis=-1)
 
-    def forward_packed(
-        self, frame: np.ndarray, mask: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def predict_packed_batch(
+        self, frames: np.ndarray, masks: np.ndarray
+    ) -> np.ndarray:
         """Sparse inference with *physically dropped* empty tokens.
 
         This is how "the cost of computation naturally reduces as the
@@ -227,52 +217,18 @@ class ViTSegmenter(nn.Module):
         patch tokens containing sampled pixels enter the transformer, so
         attention and MLP cost scale with the valid-token count, not the
         frame size.  Because masked attention already isolates valid
-        tokens from invalid ones, the logits produced for valid patches
-        are identical to :meth:`forward`'s (up to float round-off).
-
-        Returns ``(logits (H, W, K), token_valid (T,))``; patches without
-        sampled pixels receive all-zero logits (argmax -> background).
-        """
-        c = self.config
-        tokens, valid = self._tokenize(frame[None], mask[None])
-        keep = np.nonzero(valid[0])[0]
-        logits = np.zeros((c.tokens, c.patch * c.patch * c.num_classes))
-        if keep.size:
-            x = self.patch_embed(tokens[:, keep]) + self.pos_embed.data[:, keep]
-            for block in self.encoder:
-                x = block(x)
-            cls = self.class_embed.data.copy()
-            joint = np.concatenate([x, cls], axis=1)
-            for block in self.decoder:
-                joint = block(joint)
-            packed = self.head(self.final_norm(joint[:, : keep.size]))
-            logits[keep] = packed[0]
-        per_pixel = logits.reshape(
-            1, c.tokens, c.patch * c.patch, c.num_classes
-        ).transpose(0, 1, 3, 2).reshape(
-            1, c.tokens, c.num_classes * c.patch * c.patch
-        )
-        img = F.unpatchify(per_pixel, c.patch, c.num_classes, c.height, c.width)
-        return img[0].transpose(1, 2, 0), valid[0]
-
-    def predict_packed(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Like :meth:`predict` but with dropped-token (fast) inference."""
-        logits, _ = self.forward_packed(frame, mask)
-        return np.argmax(logits, axis=-1)
-
-    def predict_packed_batch(
-        self, frames: np.ndarray, masks: np.ndarray
-    ) -> np.ndarray:
-        """Packed inference over a batch of frames, bitwise-equal per frame.
+        tokens from invalid ones, the labels of valid patches match
+        :meth:`forward`'s argmax (up to float round-off); patches without
+        sampled pixels are background.
 
         Frames are grouped by valid-token count so each group runs one
-        stacked packed forward with the same per-frame matmul shapes as
-        :meth:`predict_packed`; numpy's batched GEMM/einsum paths are
+        stacked packed forward with the same per-frame matmul shapes as a
+        one-frame call; numpy's batched GEMM/einsum paths are
         row-independent for a fixed inner shape, so every frame's logits
-        (and hence seg map) are bitwise identical to the per-frame call.
-        The batched engine relies on this for its sequential-equivalence
-        guarantee while amortizing python/numpy dispatch overhead across
-        the lockstep batch.
+        (and hence seg map) are bitwise identical to packing it alone.
+        The engine relies on this for its width-independence guarantee
+        while amortizing python/numpy dispatch overhead across the
+        lockstep rank.
 
         Caveat: per-row identity of stacked GEMMs is a property of the
         installed BLAS, not an IEEE guarantee — it holds for the builds

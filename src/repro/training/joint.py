@@ -40,11 +40,10 @@ class SoftROIMask:
     approaches the hard box indicator; gradients w.r.t. the box corners
     are analytic.
 
-    :meth:`forward`/:meth:`backward` handle one box; the training
-    runtime's batched ranks use :meth:`forward_batch`/
-    :meth:`backward_batch` over ``(B, 4)`` boxes — elementwise over the
-    stacked batch, so each row's mask and gradient are bitwise identical
-    to the scalar methods (pinned by the batch-invariance tests).
+    :meth:`forward_batch`/:meth:`backward_batch` handle a rank of
+    ``(B, 4)`` boxes — elementwise over the stacked batch, so each row's
+    mask and gradient are bitwise identical to a one-box rank (pinned
+    against the per-box bodies by the batch-invariance tests).
     """
 
     def __init__(self, height: int, width: int, tau: float = 0.05):
@@ -64,43 +63,12 @@ class SoftROIMask:
         out[~pos] = ex / (1.0 + ex)
         return out
 
-    def forward(self, box: np.ndarray) -> np.ndarray:
-        """Box (r0, c0, r1, c1) -> soft mask (H, W)."""
-        r0, c0, r1, c1 = box
-        tau = self.tau
-        self._sr0 = self._sigmoid((self._rows - r0) / tau)
-        self._sr1 = self._sigmoid((r1 - self._rows) / tau)
-        self._sc0 = self._sigmoid((self._cols - c0) / tau)
-        self._sc1 = self._sigmoid((c1 - self._cols) / tau)
-        self._row_term = self._sr0 * self._sr1  # (H,)
-        self._col_term = self._sc0 * self._sc1  # (W,)
-        return np.outer(self._row_term, self._col_term)
-
-    def backward(self, grad_mask: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss w.r.t. the four box coordinates."""
-        tau = self.tau
-        # d sigmoid(u)/du = s(1-s); chain through the signs of the edges.
-        d_sr0 = -self._sr0 * (1 - self._sr0) / tau  # d/d r0
-        d_sr1 = self._sr1 * (1 - self._sr1) / tau  # d/d r1
-        d_sc0 = -self._sc0 * (1 - self._sc0) / tau  # d/d c0
-        d_sc1 = self._sc1 * (1 - self._sc1) / tau  # d/d c1
-        row_dot = grad_mask @ self._col_term  # (H,)
-        col_dot = grad_mask.T @ self._row_term  # (W,)
-        return np.array(
-            [
-                float(np.sum(row_dot * d_sr0 * self._sr1)),
-                float(np.sum(col_dot * d_sc0 * self._sc1)),
-                float(np.sum(row_dot * d_sr1 * self._sr0)),
-                float(np.sum(col_dot * d_sc1 * self._sc0)),
-            ]
-        )
-
     def forward_batch(self, boxes: np.ndarray) -> np.ndarray:
         """Boxes ``(B, 4)`` -> soft masks ``(B, H, W)`` in one rank.
 
         Every operation is elementwise over the stacked batch (broadcast
         subtraction, the piecewise sigmoid, per-row outer products), so
-        row ``b`` equals ``forward(boxes[b])`` bitwise.
+        row ``b`` equals the one-box mask of ``boxes[b]`` bitwise.
         """
         r0 = boxes[:, 0:1]
         c0 = boxes[:, 1:2]
@@ -119,8 +87,8 @@ class SoftROIMask:
         """Mask gradients ``(B, H, W)`` -> box gradients ``(B, 4)``.
 
         The per-sample reductions (mask @ col_term, the edge sums) run as
-        stacked matvecs / per-row sums with the same inner shapes as
-        :meth:`backward`, so each row is bitwise-equal to the scalar path.
+        stacked matvecs / per-row sums with the same inner shapes as a
+        one-box backward, so each row is bitwise-equal to it.
         """
         tau = self.tau
         d_sr0 = -self._b_sr0 * (1 - self._b_sr0) / tau
@@ -128,7 +96,7 @@ class SoftROIMask:
         d_sc0 = -self._b_sc0 * (1 - self._b_sc0) / tau
         d_sc1 = self._b_sc1 * (1 - self._b_sc1) / tau
         # (B, H, W) @ (B, W, 1) -> (B, H): one matvec per sample, same
-        # inner shape as the scalar backward's `grad_mask @ col_term`.
+        # inner shape as a one-box `grad_mask @ col_term`.
         row_dot = np.matmul(grad_masks, self._b_col[:, :, None])[:, :, 0]
         col_dot = np.matmul(
             grad_masks.transpose(0, 2, 1), self._b_row[:, :, None]

@@ -757,23 +757,27 @@ class TrainRunner:
 
 
 # -- generic segmentation training -------------------------------------------
+#: Adam step size, minibatch width and gradient-norm clip of
+#: :func:`train_segmentation`.
+SEGMENTATION_LR = 3e-3
+SEGMENTATION_BATCH_SIZE = 4
+SEGMENTATION_GRAD_CLIP = 5.0
+
+
 def train_segmentation(
     model,
     samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     epochs: int,
     rng: np.random.Generator,
-    lr: float = 3e-3,
-    batch_size: int = 4,
-    grad_clip: float = 5.0,
-    supervise_sampled_only: bool = False,
 ) -> TrainResult:
     """Train a segmenter on ``(frame, mask, target)`` samples.
 
     Trains any of the three segmenters (ViT, RITnet, EdGaze — they share
     the ``forward(frames, masks)`` / ``backward(grad)`` interface); used
     for the baseline (non-joint) experiments and the ablation
-    benchmarks.  Each ``batch_size`` minibatch is one model rank with
-    one Adam step.
+    benchmarks.  Each ``SEGMENTATION_BATCH_SIZE`` minibatch is one model
+    rank with one Adam step.  The cross-entropy supervises the full map,
+    teaching the network to in-paint labels for unsampled pixels.
 
     Parameters
     ----------
@@ -782,17 +786,13 @@ def train_segmentation(
     samples:
         Each element is ``(frame (H, W), sampling_mask (H, W) bool,
         target (H, W) int)``.
-    supervise_sampled_only:
-        When True, the cross-entropy is restricted to sampled pixels
-        (gradient masking).  The default supervises the full map, teaching
-        the network to in-paint labels for unsampled pixels.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1: {epochs}")
     if not samples:
         raise ValueError("no training samples")
     loss_fn = CrossEntropyLoss()
-    optimizer = Adam(model.parameters(), lr=lr)
+    optimizer = Adam(model.parameters(), lr=SEGMENTATION_LR)
     result = TrainResult()
     order = np.arange(len(samples))
     model.train()
@@ -801,16 +801,15 @@ def train_segmentation(
             rng.shuffle(order)
             epoch_loss = 0.0
             num_batches = 0
-            for batch_idx in batched(list(order), batch_size):
+            for batch_idx in batched(list(order), SEGMENTATION_BATCH_SIZE):
                 frames = np.stack([samples[i][0] for i in batch_idx])
                 masks = np.stack([samples[i][1] for i in batch_idx])
                 targets = np.stack([samples[i][2] for i in batch_idx])
                 logits = model(frames, masks)
-                loss_mask = masks if supervise_sampled_only else None
-                loss = loss_fn.forward(logits, targets, mask=loss_mask)
+                loss = loss_fn.forward(logits, targets)
                 model.zero_grad()
                 model.backward(loss_fn.backward())
-                clip_grad_norm(model.parameters(), grad_clip)
+                clip_grad_norm(model.parameters(), SEGMENTATION_GRAD_CLIP)
                 optimizer.step()
                 epoch_loss += loss
                 num_batches += 1

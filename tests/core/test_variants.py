@@ -52,7 +52,8 @@ class TestDeterministicCollectOnce:
         if name == "Skip":
             # A zero gate makes every frame a training sample — the tiny
             # fixture dataset is too quiet for the default threshold.
-            strategy = SkipStrategy(4.0, density_threshold=0.0)
+            strategy = SkipStrategy(4.0)
+            strategy.density_threshold = 0.0
         else:
             strategy = make_strategy(name, 4.0, dataset=small_dataset)
         result = train_for_strategy(

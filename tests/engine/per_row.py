@@ -1,9 +1,21 @@
-"""Frozen per-row reference for the engine's stage kernels.
+"""Frozen per-row reference for the engine's stage kernels and models.
 
 The engine's stages have one kernel each, ``process_batch``, which
-handles a lockstep rank of frames.  Their per-frame ``process`` bodies
-used to live beside those kernels as the sequential mode; they live on
-here, word for word, as the oracle every bitwise pin compares against.
+handles a lockstep rank of frames, and the models they call have one
+way in each, their batch form.  The per-frame twins of both used to
+live beside those kernels; they live on here, word for word, as the
+oracle every bitwise pin compares against:
+
+* the stages' per-frame ``process`` bodies (:data:`SCALAR_BODIES`);
+* the model bodies the stage bodies call: :func:`predict_box`
+  (``ROIPredictor``), :func:`margin_expanded_box`
+  (``MarginExpandedPredictor``), :func:`predict` (the dense per-frame
+  forward of the ViT, RITNet and EdGaze segmenters),
+  :func:`forward_packed` / :func:`predict_packed` (the ViT's
+  dropped-token inference), :func:`sample` with the seven strategies'
+  per-frame bodies (:data:`SAMPLE_BODIES`, plus the scalar ROI+Learned
+  blur :func:`default_score`), and :func:`soft_mask_forward` /
+  :func:`soft_mask_backward` (one ``SoftROIMask`` box).
 
 :func:`per_row_graph` wraps each stage of a production graph in a
 :class:`PerRowStage` whose ``process_batch`` runs the old scalar body
@@ -15,6 +27,9 @@ width 1 by default, so each sequence is stepped alone in sequence-major
 order, as the removed sequential mode did; a pin against them therefore
 also checks that production stages keep no state across sequences.
 
+:class:`ConstantBoxPredictor` is the shared ``BoxPredictor`` fake for
+tests and benchmarks that need a fixed ROI.
+
 The module is importable from every test directory (``tests/conftest.py``
 puts this directory on ``sys.path``) and from the benchmarks
 (``benchmarks/conftest.py``), whose per-row baselines it times.
@@ -24,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pipeline import MarginExpandedPredictor
 from repro.core.variants import StrategyEvaluation
 from repro.engine import (
     Execution,
@@ -47,16 +63,247 @@ from repro.engine.stages import (
     StrategySampleStage,
 )
 from repro.gaze.estimation import FittedGazeEstimator
-from repro.sampling.eventification import eventify
+from repro.nn import functional as F
+from repro.sampling import random_sampling as rs
+from repro.sampling.eventification import event_density, eventify
 from repro.sampling.roi import ROIReusePolicy, box_to_pixels, order_box
+from repro.sampling.strategies import (
+    FullDownsample,
+    FullRandom,
+    ROIDownsample,
+    ROIFixed,
+    ROILearned,
+    ROIRandom,
+    SamplingDecision,
+    SkipStrategy,
+    _in_roi_rate,
+)
 
 __all__ = [
+    "ConstantBoxPredictor",
     "PerRowStage",
     "per_row_graph",
     "process",
     "evaluate_per_row",
     "evaluate_strategy_per_row",
+    "predict_box",
+    "margin_expanded_box",
+    "predict_roi",
+    "predict",
+    "forward_packed",
+    "predict_packed",
+    "sample",
+    "default_score",
+    "soft_mask_forward",
+    "soft_mask_backward",
 ]
+
+
+# -- ROI predictors ----------------------------------------------------------
+
+
+def predict_box(self, event_map, prev_segmentation):
+    """``ROIPredictor.predict_box``: event map (+ prev seg) -> ordered
+    normalized box."""
+    out = self.forward(self.make_input(event_map, prev_segmentation))
+    return order_box(out[0])
+
+
+def margin_expanded_box(self, event_map, prev_seg):
+    """``MarginExpandedPredictor.__call__``."""
+    return self._expand(predict_box(self.roi_predictor, event_map, prev_seg))
+
+
+def predict_roi(predictor, event_map, prev_seg):
+    """One frame's box: the frozen per-frame body of the production
+    predictor, or a one-row ``predict_batch`` call for test fakes."""
+    if isinstance(predictor, MarginExpandedPredictor):
+        return margin_expanded_box(predictor, event_map, prev_seg)
+    (box,) = predictor.predict_batch([event_map], [prev_seg])
+    return box
+
+
+class ConstantBoxPredictor:
+    """A ``BoxPredictor`` that places the same normalized box on every
+    frame, whatever the events and the fed-back segmentation."""
+
+    def __init__(self, box):
+        self.box = np.asarray(box, dtype=np.float64)
+
+    def predict_batch(self, event_maps, prev_segs):
+        return [self.box for _ in event_maps]
+
+
+# -- segmenters --------------------------------------------------------------
+
+
+def predict(self, frame, mask):
+    """The segmenters' ``predict``: single sparse frame -> integer
+    segmentation map (argmax layer)."""
+    logits = self.forward(frame[None], mask[None])
+    return np.argmax(logits[0], axis=-1)
+
+
+def forward_packed(self, frame, mask):
+    """``ViTSegmenter.forward_packed``: sparse inference with
+    *physically dropped* empty tokens.
+
+    Returns ``(logits (H, W, K), token_valid (T,))``; patches without
+    sampled pixels receive all-zero logits (argmax -> background).
+    """
+    c = self.config
+    tokens, valid = self._tokenize(frame[None], mask[None])
+    keep = np.nonzero(valid[0])[0]
+    logits = np.zeros((c.tokens, c.patch * c.patch * c.num_classes))
+    if keep.size:
+        x = self.patch_embed(tokens[:, keep]) + self.pos_embed.data[:, keep]
+        for block in self.encoder:
+            x = block(x)
+        cls = self.class_embed.data.copy()
+        joint = np.concatenate([x, cls], axis=1)
+        for block in self.decoder:
+            joint = block(joint)
+        packed = self.head(self.final_norm(joint[:, : keep.size]))
+        logits[keep] = packed[0]
+    per_pixel = logits.reshape(
+        1, c.tokens, c.patch * c.patch, c.num_classes
+    ).transpose(0, 1, 3, 2).reshape(
+        1, c.tokens, c.num_classes * c.patch * c.patch
+    )
+    img = F.unpatchify(per_pixel, c.patch, c.num_classes, c.height, c.width)
+    return img[0].transpose(1, 2, 0), valid[0]
+
+
+def predict_packed(self, frame, mask):
+    """``ViTSegmenter.predict_packed``: like :func:`predict` but with
+    dropped-token (fast) inference."""
+    logits, _ = forward_packed(self, frame, mask)
+    return np.argmax(logits, axis=-1)
+
+
+# -- sampling strategies -----------------------------------------------------
+
+
+def _full_random(self, frame, event_map, roi_box, rng):
+    mask = rs.random_mask(frame.shape, 1.0 / self.compression, rng)
+    return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
+
+
+def _full_downsample(self, frame, event_map, roi_box, rng):
+    mask = rs.uniform_grid_mask(frame.shape, 1.0 / self.compression)
+    return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
+
+
+def _skip(self, frame, event_map, roi_box, rng):
+    self._frames_seen += 1
+    target_send_rate = 1.0 / self.compression
+    sent_rate = self._frames_sent / max(1, self._frames_seen)
+    # Adaptive gate: lean toward sending when under budget.
+    threshold = self.density_threshold * (
+        2.0 if sent_rate > target_send_rate else 0.5
+    )
+    if event_density(event_map) < threshold:
+        mask = np.zeros(frame.shape, dtype=bool)
+        return SamplingDecision(
+            mask, np.zeros_like(frame), None, reuse_previous=True
+        )
+    self._frames_sent += 1
+    mask = np.ones(frame.shape, dtype=bool)
+    return SamplingDecision(mask, frame.copy(), self._full_frame_box(frame))
+
+
+def _roi_downsample(self, frame, event_map, roi_box, rng):
+    box = roi_box or self._full_frame_box(frame)
+    rate = _in_roi_rate(frame.shape, box, self.compression)
+    mask = rs.uniform_mask_in_box(frame.shape, box, rate)
+    return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
+
+
+def _roi_fixed(self, frame, event_map, roi_box, rng):
+    mask = self._fixed_mask(frame.shape, frame.size)
+    return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
+
+
+def default_score(frame, event_map):
+    """``ROILearned._default_score``: the box-blurred event density."""
+    # Box-blurred event density: a cheap learned-importance surrogate.
+    kernel = 5
+    padded = np.pad(event_map.astype(np.float64), kernel // 2, mode="edge")
+    out = np.zeros_like(event_map, dtype=np.float64)
+    for dr in range(kernel):
+        for dc in range(kernel):
+            out += padded[
+                dr : dr + event_map.shape[0], dc : dc + event_map.shape[1]
+            ]
+    return out
+
+
+def _roi_learned(self, frame, event_map, roi_box, rng):
+    box = roi_box or self._full_frame_box(frame)
+    scores = default_score(frame, event_map)
+    mask = self._select(scores, box, frame, rng)
+    return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
+
+
+def _roi_random(self, frame, event_map, roi_box, rng):
+    box = roi_box or self._full_frame_box(frame)
+    rate = _in_roi_rate(frame.shape, box, self.compression)
+    mask = rs.random_mask_in_box(frame.shape, box, rate, rng)
+    return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
+
+
+#: Strategy class -> its frozen per-frame ``sample`` body.
+SAMPLE_BODIES = {
+    FullRandom: _full_random,
+    FullDownsample: _full_downsample,
+    SkipStrategy: _skip,
+    ROIDownsample: _roi_downsample,
+    ROIFixed: _roi_fixed,
+    ROILearned: _roi_learned,
+    ROIRandom: _roi_random,
+}
+
+
+def sample(strategy, frame, event_map, roi_box, rng):
+    """``strategy.sample``: one frame's :class:`SamplingDecision`."""
+    return SAMPLE_BODIES[type(strategy)](strategy, frame, event_map, roi_box, rng)
+
+
+# -- soft ROI mask -----------------------------------------------------------
+
+
+def soft_mask_forward(self, box):
+    """``SoftROIMask.forward``: box (r0, c0, r1, c1) -> soft mask (H, W)."""
+    r0, c0, r1, c1 = box
+    tau = self.tau
+    self._sr0 = self._sigmoid((self._rows - r0) / tau)
+    self._sr1 = self._sigmoid((r1 - self._rows) / tau)
+    self._sc0 = self._sigmoid((self._cols - c0) / tau)
+    self._sc1 = self._sigmoid((c1 - self._cols) / tau)
+    self._row_term = self._sr0 * self._sr1  # (H,)
+    self._col_term = self._sc0 * self._sc1  # (W,)
+    return np.outer(self._row_term, self._col_term)
+
+
+def soft_mask_backward(self, grad_mask):
+    """``SoftROIMask.backward``: gradient of a scalar loss w.r.t. the
+    four box coordinates of the last :func:`soft_mask_forward`."""
+    tau = self.tau
+    # d sigmoid(u)/du = s(1-s); chain through the signs of the edges.
+    d_sr0 = -self._sr0 * (1 - self._sr0) / tau  # d/d r0
+    d_sr1 = self._sr1 * (1 - self._sr1) / tau  # d/d r1
+    d_sc0 = -self._sc0 * (1 - self._sc0) / tau  # d/d c0
+    d_sc1 = self._sc1 * (1 - self._sc1) / tau  # d/d c1
+    row_dot = grad_mask @ self._col_term  # (H,)
+    col_dot = grad_mask.T @ self._row_term  # (W,)
+    return np.array(
+        [
+            float(np.sum(row_dot * d_sr0 * self._sr1)),
+            float(np.sum(col_dot * d_sc0 * self._sc1)),
+            float(np.sum(row_dot * d_sr1 * self._sr0)),
+            float(np.sum(col_dot * d_sc1 * self._sc0)),
+        ]
+    )
 
 
 # -- tracking stages ---------------------------------------------------------
@@ -72,7 +319,7 @@ def _eventify(self, ctx: FrameContext, seq: SequenceState) -> None:
 
 def _roi_predict(self, ctx: FrameContext, seq: SequenceState) -> None:
     box_norm = order_box(
-        np.asarray(self.predictor(ctx.event_map, seq.prev_seg_pred))
+        np.asarray(predict_roi(self.predictor, ctx.event_map, seq.prev_seg_pred))
     )
     ctx.roi_box_norm = box_norm
     ctx.roi_box = box_to_pixels(box_norm, self.height, self.width)
@@ -110,19 +357,16 @@ def _readout(self, ctx: FrameContext, seq: SequenceState) -> None:
 
 
 def _segment(self, ctx: FrameContext, seq: SequenceState) -> None:
-    seg = self.segmenter.predict_packed(ctx.sparse_frame, ctx.mask)
+    seg = predict_packed(self.segmenter, ctx.sparse_frame, ctx.mask)
     ctx.seg_pred = seg
     seq.prev_seg_pred = seg
 
 
 def _gaze(self, ctx: FrameContext, seq: SequenceState) -> None:
     est = self.estimator
-    if self.per_sequence_state:
-        est.fallback_state = seq.slots[self.name]
-        ctx.gaze_pred = est.predict(ctx.seg_pred)
-        seq.slots[self.name] = est.fallback_state
-    else:
-        ctx.gaze_pred = est.predict(ctx.seg_pred)
+    est.fallback_state = seq.slots[self.name]
+    ctx.gaze_pred = est.predict(ctx.seg_pred)
+    seq.slots[self.name] = est.fallback_state
 
 
 def _stats(self, ctx: FrameContext, seq: SequenceState) -> None:
@@ -146,9 +390,7 @@ def _eventify_pair(self, ctx: FrameContext, seq: SequenceState) -> None:
 def _strategy_sample(self, ctx: FrameContext, seq: SequenceState) -> None:
     strategy = seq.slots[self.name]
     roi_box = ctx.gt_box if self.use_gt_roi else None
-    decision = strategy.sample(
-        ctx.frame, ctx.event_map, roi_box, strategy.rng
-    )
+    decision = sample(strategy, ctx.frame, ctx.event_map, roi_box, strategy.rng)
     ctx.mask = decision.mask
     ctx.sparse_frame = decision.sparse_frame
     ctx.roi_box = decision.roi_box
@@ -161,7 +403,7 @@ def _segment_or_reuse(self, ctx: FrameContext, seq: SequenceState) -> None:
         ctx.seg_pred = seq.prev_seg_pred
         ctx.seg_reused = True
     else:
-        ctx.seg_pred = self.segmenter.predict(ctx.sparse_frame, ctx.mask)
+        ctx.seg_pred = predict(self.segmenter, ctx.sparse_frame, ctx.mask)
     seq.prev_seg_pred = ctx.seg_pred
 
 

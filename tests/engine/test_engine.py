@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from per_row import evaluate_per_row
+from per_row import ConstantBoxPredictor, evaluate_per_row
 from repro.core import BlissCamPipeline, ci
 from repro.engine import (
     EventifyStage,
@@ -40,7 +40,7 @@ class TestStageGraph:
 
     def test_stage_names_in_order(self, trained_pipeline):
         graph = build_tracking_graph(
-            predictor=lambda e, s: np.array([0.1, 0.1, 0.9, 0.9]),
+            predictor=ConstantBoxPredictor([0.1, 0.1, 0.9, 0.9]),
             segmenter=trained_pipeline.segmenter,
             gaze_estimator=trained_pipeline.gaze_estimator,
             height=64,
@@ -75,7 +75,7 @@ class TestStageGraph:
     def test_bad_reuse_window_rejected(self):
         from repro.engine import ROIPredictStage, ROIReuseStage
 
-        inner = ROIPredictStage(lambda e, s: np.zeros(4), 64, 64)
+        inner = ROIPredictStage(ConstantBoxPredictor(np.zeros(4)), 64, 64)
         with pytest.raises(ValueError):
             ROIReuseStage(inner, window=0)
 

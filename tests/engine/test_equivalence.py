@@ -17,9 +17,17 @@ Three independent properties are pinned down, each exactly:
 import numpy as np
 import pytest
 
-from per_row import evaluate_per_row, per_row_graph
+from per_row import (
+    ConstantBoxPredictor,
+    evaluate_per_row,
+    per_row_graph,
+    predict,
+    predict_packed,
+    sample,
+)
 from repro.core import BlissCamPipeline, ci, evaluate_strategy, make_strategy
 from repro.engine import Execution, build_tracking_graph, tracking_runner
+from repro.gaze.estimation import pupil_centroid
 from repro.gaze.metrics import angular_errors
 from repro.sampling.roi import ROIReusePolicy, box_iou
 from repro.sampling.strategies import STRATEGY_NAMES
@@ -59,7 +67,7 @@ def reference_evaluate(pipeline, eval_indices, reuse_window=1, sensor_seed=1234)
             if reuse_window > 1 and not reuse.should_predict():
                 cached = reuse.current()
                 original = sensor.roi_predictor
-                sensor.roi_predictor = lambda e, s, _c=cached: _c
+                sensor.roi_predictor = ConstantBoxPredictor(cached)
                 out = sensor.capture(seq.frames[t], prev_seg_pred)
                 sensor.roi_predictor = original
                 reuse.tick()
@@ -70,7 +78,7 @@ def reference_evaluate(pipeline, eval_indices, reuse_window=1, sensor_seed=1234)
             if out is None:
                 continue
             sparse, mask = sensor.host_decode(out)
-            seg_pred = pipeline.segmenter.predict_packed(sparse, mask)
+            seg_pred = predict_packed(pipeline.segmenter, sparse, mask)
             prev_seg_pred = seg_pred
             preds.append(pipeline.gaze_estimator.predict(seg_pred))
             truths.append(seq.gazes[t])
@@ -146,11 +154,15 @@ class TestBatchedEqualsSequential:
 
 
 class PlainPredictor:
-    """An ROI predictor without ``predict_batch``, called per row: a box
-    around the events' centroid, grown by the fed-back segmented area,
-    so a lane fed another lane's inputs gets another box."""
+    """A ``BoxPredictor`` computing each row alone: a box around the
+    events' centroid, grown by the fed-back segmented area, so a lane fed
+    another lane's inputs gets another box."""
 
-    def __call__(self, event_map, prev_seg):
+    def predict_batch(self, event_maps, prev_segs):
+        return [self._box(e, s) for e, s in zip(event_maps, prev_segs)]
+
+    @staticmethod
+    def _box(event_map, prev_seg):
         rows, cols = np.nonzero(event_map)
         h, w = event_map.shape
         r, c = (rows.mean() / h, cols.mean() / w) if rows.size else (0.5, 0.5)
@@ -161,9 +173,9 @@ class PlainPredictor:
 
 
 class PlainEstimator:
-    """A gaze estimator without ``predict_from_centroid``: accumulates
-    each map's label sum in its fallback state, so a lane fed another
-    lane's map or state gets another gaze."""
+    """A gaze estimator whose fallback state accumulates every centroid
+    it sees, so a lane fed another lane's map or state gets another
+    gaze."""
 
     INITIAL_FALLBACK = (0.0, 0.0)
 
@@ -171,8 +183,12 @@ class PlainEstimator:
         self.fallback_state = self.INITIAL_FALLBACK
 
     def predict(self, seg):
+        return self.predict_from_centroid(pupil_centroid(seg))
+
+    def predict_from_centroid(self, centroid):
         total, frames = self.fallback_state
-        self.fallback_state = (total + float(np.sum(seg)), frames + 1)
+        step = 0.0 if centroid is None else centroid[0] + 2.0 * centroid[1]
+        self.fallback_state = (total + step, frames + 1)
         return self.fallback_state
 
 
@@ -185,8 +201,9 @@ def _frame_records(run):
 
 
 class TestInlinedFallbacks:
-    """Inputs without a batched seam run per row inside the one kernel;
-    the result still equals the per-row reference at every width."""
+    """Models other than the production ones, behind the same batch
+    protocols, still equal the per-row reference at every width: the
+    kernels hand each lane its own inputs and per-sequence state."""
 
     @pytest.mark.parametrize("wrap", ["predictor", "estimator"])
     def test_per_row_inputs_match_reference(self, trained_pipeline, wrap):
@@ -289,14 +306,15 @@ class TestStagedEqualsPreRefactor:
                 prev_seg = None
                 for t in range(1, len(seq)):
                     event_map = eventify(seq.frames[t - 1], seq.frames[t])
-                    decision = strategy.sample(
-                        seq.frames[t], event_map, seq.roi_boxes[t], strategy.rng
+                    decision = sample(
+                        strategy, seq.frames[t], event_map, seq.roi_boxes[t],
+                        strategy.rng,
                     )
                     if decision.reuse_previous and prev_seg is not None:
                         seg_pred = prev_seg
                     else:
-                        seg_pred = vit.predict(
-                            decision.sparse_frame, decision.mask
+                        seg_pred = predict(
+                            vit, decision.sparse_frame, decision.mask
                         )
                         comps_ref.append(min(decision.compression, 1e6))
                     prev_seg = seg_pred
@@ -364,5 +382,5 @@ class TestVectorizedKernels:
         batched = vit.predict_packed_batch(frames, masks)
         for i in range(6):
             assert np.array_equal(
-                batched[i], vit.predict_packed(frames[i], masks[i])
+                batched[i], predict_packed(vit, frames[i], masks[i])
             ), f"frame {i} diverged"

@@ -6,7 +6,9 @@ this module pins them against the frozen per-row reference
 (``per_row.py``) for **every** registered strategy — including the
 stochastic ones (Full+Random, ROI+Learned tie-breaks, ROI+Random) and
 the stateful SKIP gate — across lockstep widths {1, partial, full-rank}
-and sharded, for all three segmentation backends.
+and sharded, for all three segmentation backends.  The strategies'
+``sample_batch`` kernels themselves are pinned row by row against the
+moved per-frame ``sample`` bodies in ``tests/sampling/test_strategies.py``.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from per_row import evaluate_strategy_per_row
 from repro.core.variants import evaluate_strategy, make_strategy
 from repro.engine import Execution
 from repro.engine.stage import Stage
+from repro.nn import TrainingModeError
 from repro.engine.stages import (
     EventifyPairStage,
     GazeRegressStage,
@@ -122,15 +125,12 @@ class TestDenseBackendParity:
                 _assert_same(ref, bat, (name, execution))
 
     @pytest.mark.parametrize("net_cls", [EdGazeNet, RITNet])
-    def test_training_mode_falls_back_per_row(self, net_cls, dataset):
-        """A net still in training mode must not be batch-stacked (batch
-        norm would couple rows) — the kernel predicts row by row then,
-        bitwise-equal to the per-row reference at every width."""
-        def fresh():
-            return net_cls(np.random.default_rng(3), base_channels=4)
-
-        assert fresh().training  # fresh nets start in training mode
-        ref = _reference("Ours (ROI+Random)", dataset, fresh())
-        for execution in EXECUTIONS:
-            bat = _run("Ours (ROI+Random)", dataset, fresh(), execution)
-            _assert_same(ref, bat, (net_cls.__name__, execution))
+    def test_training_mode_segmenter_raises(self, net_cls, dataset):
+        """A conv net left in training mode would couple the rank's rows
+        through batch-norm statistics: the segment-or-reuse stage raises
+        the named error instead of running it, at every width."""
+        net = net_cls(np.random.default_rng(3), base_channels=4)
+        assert net.training  # fresh nets start in training mode
+        for execution in EXECUTIONS[:3]:
+            with pytest.raises(TrainingModeError, match="eval"):
+                _run("Ours (ROI+Random)", dataset, net, execution)

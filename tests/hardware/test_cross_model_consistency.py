@@ -10,6 +10,7 @@ from the other.
 import numpy as np
 import pytest
 
+from per_row import ConstantBoxPredictor
 from repro.hardware import MipiLink, TimingModel, WorkloadProfile
 from repro.hardware.mipi_packet import CsiPacketizer
 from repro.hardware.sensor import RunLengthCodec
@@ -111,7 +112,7 @@ class TestSensorOutputVsLinkModel:
         link = MipiLink()
         sensor = BlissCamSensor(
             64, 64,
-            roi_predictor=lambda e, s: np.array([0.3, 0.3, 0.7, 0.7]),
+            roi_predictor=ConstantBoxPredictor([0.3, 0.3, 0.7, 0.7]),
             sampling_rate=0.2,
             seed=0,
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from per_row import ConstantBoxPredictor
 from repro.hardware.sensor import BlissCamSensor
 from repro.hardware.sensor.defects import DefectMap
 from repro.sampling import eventify
@@ -72,7 +73,7 @@ class TestDefectRobustness:
         defects = make_defects(dead_fraction=0.01, hot_fraction=0.01)
         sensor = BlissCamSensor(
             32, 32,
-            roi_predictor=lambda e, s: np.array([0.2, 0.2, 0.8, 0.8]),
+            roi_predictor=ConstantBoxPredictor([0.2, 0.2, 0.8, 0.8]),
             sampling_rate=0.3,
             seed=0,
         )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_row import ConstantBoxPredictor
 from repro.hardware.sensor import (
     BLISSCAM_DPS,
     BlissCamSensor,
@@ -174,9 +175,7 @@ class TestADCAndReadout:
 
 
 class TestBlissCamSensor:
-    @staticmethod
-    def _center_predictor(event_map, prev_seg):
-        return np.array([0.25, 0.25, 0.75, 0.75])
+    _center_predictor = ConstantBoxPredictor([0.25, 0.25, 0.75, 0.75])
 
     def make(self, size=32, rate=0.3):
         return BlissCamSensor(

@@ -69,9 +69,9 @@ class TestQuantizeModule:
         )
         frame = RNG.random((32, 32))
         mask = RNG.random((32, 32)) < 0.3
-        before = vit.predict(frame * mask, mask)
+        before = vit.predict_batch((frame * mask)[None], mask[None])
         quantize_module(vit, bits=8)
-        after = vit.predict(frame * mask, mask)
+        after = vit.predict_batch((frame * mask)[None], mask[None])
         agreement = np.mean(before == after)
         assert agreement > 0.95
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_row import predict_box
 from repro.sampling import (
     ROIPredictor,
     ROIReusePolicy,
@@ -72,7 +73,7 @@ class TestROIPredictor:
     def test_output_is_valid_box(self):
         net = ROIPredictor(32, 32, RNG, base_channels=2)
         event = RNG.random((32, 32)) < 0.1
-        box = net.predict_box(event, None)
+        (box,) = net.predict_box_batch([event], [None])
         assert box.shape == (4,)
         assert np.all(box >= 0) and np.all(box <= 1)
         assert box[0] <= box[2] and box[1] <= box[3]
@@ -81,8 +82,7 @@ class TestROIPredictor:
         net = ROIPredictor(32, 32, RNG, base_channels=2)
         event = RNG.random((32, 32)) < 0.1
         seg = RNG.integers(0, 4, size=(32, 32))
-        box_a = net.predict_box(event, None)
-        box_b = net.predict_box(event, seg)
+        box_a, box_b = net.predict_box_batch([event, event], [None, seg])
         # The corrective cue must actually reach the network.
         assert not np.allclose(box_a, box_b)
 
@@ -182,5 +182,5 @@ class TestBatchInvariance:
         ]
         batched = predictor.predict_box_batch(events, segs)
         for i, (event, seg) in enumerate(zip(events, segs)):
-            solo = predictor.predict_box(event, seg)
+            solo = predict_box(predictor, event, seg)
             assert np.array_equal(batched[i], solo), f"frame {i} diverged"

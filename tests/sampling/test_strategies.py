@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_row
 from repro.sampling import (
     FullDownsample,
     FullRandom,
@@ -79,6 +80,14 @@ def _fixture_frame():
     return frame, event, box
 
 
+def sample_one(strategy, frame, event, box, row=None):
+    """One frame through ``strategy``'s batch form; the rank's single row
+    is ``row`` (default: a fresh spawn of ``strategy``)."""
+    row = strategy.spawn(0) if row is None else row
+    (decision,) = strategy.sample_batch([row], [frame], [event], [box])
+    return decision
+
+
 class TestStrategies:
     @pytest.mark.parametrize(
         "cls", [FullRandom, FullDownsample, ROIDownsample, ROIRandom, ROILearned]
@@ -86,25 +95,25 @@ class TestStrategies:
     def test_compression_near_target(self, cls):
         frame, event, box = _fixture_frame()
         strategy = cls(compression=8.0)
-        decision = strategy.sample(frame, event, box, np.random.default_rng(5))
+        decision = sample_one(strategy, frame, event, box)
         assert decision.transmitted_pixels > 0
         assert 4.0 < decision.compression < 20.0
 
     def test_roi_random_respects_roi(self):
         frame, event, box = _fixture_frame()
-        decision = ROIRandom(8.0).sample(frame, event, box, RNG)
+        decision = sample_one(ROIRandom(8.0), frame, event, box)
         outside = decision.mask.copy()
         outside[box[0] : box[2], box[1] : box[3]] = False
         assert not outside.any()
 
     def test_roi_strategies_fall_back_to_full_frame(self):
         frame, event, _ = _fixture_frame()
-        decision = ROIRandom(8.0).sample(frame, event, None, RNG)
+        decision = sample_one(ROIRandom(8.0), frame, event, None)
         assert decision.roi_box == (0, 0, *SHAPE)
 
     def test_full_random_ignores_roi(self):
         frame, event, box = _fixture_frame()
-        decision = FullRandom(4.0).sample(frame, event, box, np.random.default_rng(7))
+        decision = sample_one(FullRandom(4.0), frame, event, box)
         outside = decision.mask.copy()
         outside[box[0] : box[2], box[1] : box[3]] = False
         assert outside.any()  # samples exist outside the ROI
@@ -113,7 +122,7 @@ class TestStrategies:
         frame, _, box = _fixture_frame()
         quiet = np.zeros(SHAPE, dtype=bool)
         strategy = SkipStrategy(compression=4.0)
-        decision = strategy.sample(frame, quiet, box, RNG)
+        decision = sample_one(strategy, frame, quiet, box)
         assert decision.reuse_previous
         assert decision.transmitted_pixels == 0
 
@@ -121,14 +130,14 @@ class TestStrategies:
         frame, _, box = _fixture_frame()
         busy = np.ones(SHAPE, dtype=bool)
         strategy = SkipStrategy(compression=4.0)
-        decision = strategy.sample(frame, busy, box, RNG)
+        decision = sample_one(strategy, frame, busy, box)
         assert not decision.reuse_previous
         assert decision.transmitted_pixels == frame.size
 
     def test_roi_fixed_requires_fit(self):
         frame, event, box = _fixture_frame()
         with pytest.raises(RuntimeError):
-            ROIFixed(8.0).sample(frame, event, box, RNG)
+            sample_one(ROIFixed(8.0), frame, event, box)
 
     def test_roi_fixed_uses_statistics(self):
         frame, event, box = _fixture_frame()
@@ -138,7 +147,7 @@ class TestStrategies:
         fg = np.zeros((5, *SHAPE), dtype=bool)
         fg[:, 20:28, 20:28] = True  # foreground always in the center
         strategy.fit(fg)
-        decision = strategy.sample(frame, event, box, RNG)
+        decision = sample_one(strategy, frame, event, box)
         rows, cols = np.nonzero(decision.mask)
         assert rows.min() >= 20 and rows.max() < 28
         assert cols.min() >= 20 and cols.max() < 28
@@ -146,17 +155,8 @@ class TestStrategies:
 
     def test_roi_learned_budget_exact(self):
         frame, event, box = _fixture_frame()
-        decision = ROILearned(compression=16.0).sample(frame, event, box, RNG)
+        decision = sample_one(ROILearned(compression=16.0), frame, event, box)
         assert decision.transmitted_pixels <= round(frame.size / 16.0)
-
-    def test_roi_learned_custom_scorer(self):
-        frame, event, box = _fixture_frame()
-        scores = np.zeros(SHAPE)
-        scores[15, 15] = 10.0
-        decision = ROILearned(
-            compression=frame.size, scorer=lambda f, e: scores
-        ).sample(frame, event, box, RNG)
-        assert decision.mask[15, 15]
 
     def test_rejects_compression_below_one(self):
         with pytest.raises(ValueError):
@@ -166,9 +166,7 @@ class TestStrategies:
     @settings(max_examples=20, deadline=None)
     def test_sparse_frame_zero_outside_mask(self, compression):
         frame, event, box = _fixture_frame()
-        decision = ROIRandom(compression).sample(
-            frame, event, box, np.random.default_rng(11)
-        )
+        decision = sample_one(ROIRandom(compression), frame, event, box)
         assert np.all(decision.sparse_frame[~decision.mask] == 0)
         np.testing.assert_array_equal(
             decision.sparse_frame[decision.mask], frame[decision.mask]
@@ -193,9 +191,9 @@ class TestSpawn:
         a = template.spawn([42, 3])
         b = template.spawn([42, 3])
         other = template.spawn([42, 4])
-        da = a.sample(frame, event, box, a.rng)
-        db = b.sample(frame, event, box, b.rng)
-        dc = other.sample(frame, event, box, other.rng)
+        da = sample_one(template, frame, event, box, row=a)
+        db = sample_one(template, frame, event, box, row=b)
+        dc = sample_one(template, frame, event, box, row=other)
         assert np.array_equal(da.mask, db.mask)  # same key, same stream
         assert not np.array_equal(da.mask, dc.mask)  # different sequence
 
@@ -213,7 +211,7 @@ class TestSpawn:
         # Drive the template's adaptive gate away from its initial state.
         busy = np.ones(SHAPE, dtype=bool)
         for _ in range(5):
-            template.sample(frame, busy, box, RNG)
+            sample_one(template, frame, busy, box, row=template)
         clone = template.spawn([1, 0])
         assert clone._frames_seen == 0
         assert clone._frames_sent == 0
@@ -225,7 +223,7 @@ class TestSpawn:
         a = template.spawn([1, 0])
         b = template.spawn([1, 1])
         busy = np.ones(SHAPE, dtype=bool)
-        a.sample(frame, busy, box, a.rng)
+        sample_one(template, frame, busy, box, row=a)
         assert a._frames_sent == 1
         assert b._frames_sent == 0
 
@@ -237,7 +235,7 @@ class TestSpawn:
         clone = template.spawn([0, 0])
         assert clone._prob_map is template._prob_map  # fit-time state shared
         frame, event, box = _fixture_frame()
-        decision = clone.sample(frame, event, box, clone.rng)
+        decision = sample_one(template, frame, event, box, row=clone)
         assert decision.transmitted_pixels == 64
 
 
@@ -261,16 +259,18 @@ _ALL_STRATEGY_CLASSES = [
 
 
 class TestSampleBatch:
-    """``sample_batch`` == a per-row ``sample`` loop, bitwise, per strategy.
+    """``sample_batch`` == the frozen per-row ``sample`` bodies
+    (``per_row.py``), bitwise, per strategy, at widths 1, 2 and full.
 
     Two independent spawn sets with identical keys play the roles of the
-    sequential and the lockstep run; several steps per rank verify that
+    per-row and the lockstep run; several steps per rank verify that
     both RNG stream positions and adaptive state (SKIP's gate) advance
     identically.
     """
 
     B = 5
     STEPS = 3
+    WIDTHS = (1, 2, B)
 
     def _rank(self):
         rng = np.random.default_rng(17)
@@ -285,65 +285,82 @@ class TestSampleBatch:
         ]
         return frames, events, boxes
 
+    def _lockstep(self, template, rows, frames, events, boxes, width):
+        """One step of the rank, in chunks of ``width`` rows."""
+        decisions = []
+        for start in range(0, len(rows), width):
+            chunk = slice(start, start + width)
+            decisions += template.sample_batch(
+                rows[chunk], frames[chunk], events[chunk], boxes[chunk]
+            )
+        return decisions
+
     @pytest.mark.parametrize("cls", _ALL_STRATEGY_CLASSES)
     def test_batch_matches_per_row_loop(self, cls):
         template = _make_template(cls)
         frames, events, boxes = self._rank()
-        scalar = [template.spawn([7, i]) for i in range(self.B)]
-        batched = [template.spawn([7, i]) for i in range(self.B)]
-        for _ in range(self.STEPS):
-            ref = [
-                s.sample(f, e, b, s.rng)
-                for s, f, e, b in zip(scalar, frames, events, boxes)
-            ]
-            got = template.sample_batch(batched, frames, events, boxes)
-            for r, g in zip(ref, got):
-                assert np.array_equal(r.mask, g.mask)
-                assert np.array_equal(r.sparse_frame, g.sparse_frame)
-                assert r.roi_box == g.roi_box
-                assert r.reuse_previous == g.reuse_previous
-                assert r.compression == g.compression
+        for width in self.WIDTHS:
+            scalar = [template.spawn([7, i]) for i in range(self.B)]
+            batched = [template.spawn([7, i]) for i in range(self.B)]
+            for _ in range(self.STEPS):
+                ref = [
+                    per_row.sample(s, f, e, b, s.rng)
+                    for s, f, e, b in zip(scalar, frames, events, boxes)
+                ]
+                got = self._lockstep(
+                    template, batched, frames, events, boxes, width
+                )
+                for r, g in zip(ref, got):
+                    assert np.array_equal(r.mask, g.mask), width
+                    assert np.array_equal(r.sparse_frame, g.sparse_frame)
+                    assert r.roi_box == g.roi_box
+                    assert r.reuse_previous == g.reuse_previous
+                    assert r.compression == g.compression
 
     def test_skip_batch_threads_adaptive_state(self):
         """A mixed quiet/busy rank must advance every spawn's gate the
-        way the scalar loop would."""
+        way the per-row loop would."""
         frames, _, boxes = self._rank()
         quiet = np.zeros(SHAPE, dtype=bool)
         busy = np.ones(SHAPE, dtype=bool)
         events = [quiet, busy, quiet, busy, busy]
         template = SkipStrategy(compression=4.0)
-        scalar = [template.spawn([3, i]) for i in range(self.B)]
-        batched = [template.spawn([3, i]) for i in range(self.B)]
-        for _ in range(4):
-            ref = [
-                s.sample(f, e, b, s.rng)
-                for s, f, e, b in zip(scalar, frames, events, boxes)
-            ]
-            got = template.sample_batch(batched, frames, events, boxes)
-            for r, g, a, b in zip(ref, got, scalar, batched):
-                assert r.reuse_previous == g.reuse_previous
-                assert a._frames_seen == b._frames_seen
-                assert a._frames_sent == b._frames_sent
+        for width in self.WIDTHS:
+            scalar = [template.spawn([3, i]) for i in range(self.B)]
+            batched = [template.spawn([3, i]) for i in range(self.B)]
+            for _ in range(4):
+                ref = [
+                    per_row.sample(s, f, e, b, s.rng)
+                    for s, f, e, b in zip(scalar, frames, events, boxes)
+                ]
+                got = self._lockstep(
+                    template, batched, frames, events, boxes, width
+                )
+                for r, g, a, b in zip(ref, got, scalar, batched):
+                    assert r.reuse_previous == g.reuse_previous, width
+                    assert a._frames_seen == b._frames_seen
+                    assert a._frames_sent == b._frames_sent
 
-    def test_custom_scorer_stays_per_row(self):
-        """ROI+Learned with a plugged scorer keeps the per-frame scorer
-        contract (one call per row) and still matches the scalar loop."""
+    @pytest.mark.parametrize("cls", _ALL_STRATEGY_CLASSES)
+    def test_repeated_collector_matches_one_stream(self, cls):
+        """One sampler as every row of the rank (how training data is
+        collected) consumes its stream and state frame by frame, as the
+        per-row loop on that one sampler does."""
+        template = _make_template(cls)
         frames, events, boxes = self._rank()
-        calls = []
-
-        def scorer(frame, event_map):
-            calls.append(frame.shape)
-            return event_map.astype(np.float64)
-
-        template = ROILearned(compression=4.0, scorer=scorer)
-        scalar = [template.spawn([5, i]) for i in range(self.B)]
-        batched = [template.spawn([5, i]) for i in range(self.B)]
+        single = template.spawn([9, 0])
+        collector = template.spawn([9, 0])
         ref = [
-            s.sample(f, e, b, s.rng)
-            for s, f, e, b in zip(scalar, frames, events, boxes)
+            per_row.sample(single, f, e, b, single.rng)
+            for f, e, b in zip(frames, events, boxes)
         ]
-        calls.clear()
-        got = template.sample_batch(batched, frames, events, boxes)
-        assert len(calls) == self.B
+        got = template.sample_batch(
+            [collector] * self.B, frames, events, boxes
+        )
         for r, g in zip(ref, got):
             assert np.array_equal(r.mask, g.mask)
+            assert np.array_equal(r.sparse_frame, g.sparse_frame)
+            assert r.reuse_previous == g.reuse_previous
+        assert np.array_equal(single.rng.random(3), collector.rng.random(3))
+        for gate in ("_frames_seen", "_frames_sent"):  # SKIP's state
+            assert getattr(single, gate, None) == getattr(collector, gate, None)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, CrossEntropyLoss
+import per_row
+from repro.nn import Adam, CrossEntropyLoss, TrainingModeError
 from repro.segmentation import (
     EdGazeNet,
     RITNet,
@@ -49,7 +50,9 @@ class TestViT:
 
     def test_predict_returns_labels(self):
         model = tiny_vit()
-        seg = model.predict(RNG.random((32, 32)), np.ones((32, 32), dtype=bool))
+        (seg,) = model.predict_batch(
+            RNG.random((1, 32, 32)), np.ones((1, 32, 32), dtype=bool)
+        )
         assert seg.shape == (32, 32)
         assert seg.min() >= 0 and seg.max() < 4
 
@@ -158,7 +161,7 @@ class TestPredictBatchInvariance:
         batched = model.predict_batch(frames, masks)
         assert batched.shape == frames.shape
         for i in range(self.B):
-            solo = model.predict(frames[i], masks[i])
+            solo = per_row.predict(model, frames[i], masks[i])
             assert np.array_equal(batched[i], solo)
 
     def test_vit_dense_batch_matches_per_frame(self):
@@ -166,16 +169,22 @@ class TestPredictBatchInvariance:
         frames, masks = self._inputs()
         batched = model.predict_batch(frames, masks)
         for i in range(self.B):
-            solo = model.predict(frames[i], masks[i])
+            solo = per_row.predict(model, frames[i], masks[i])
             assert np.array_equal(batched[i], solo)
 
     @pytest.mark.parametrize("cls", [EdGazeNet, RITNet])
     def test_requires_eval_contract(self, cls):
-        """Conv nets declare the eval-mode requirement the engine's
-        segment stage keys its training-mode fallback on; the ViT's
-        forward has no batch-coupled modules and opts out."""
-        assert cls.predict_batch_requires_eval
-        assert not ViTSegmenter.predict_batch_requires_eval
+        """Conv nets refuse predict_batch in training mode, where batch
+        norm couples rows; the ViT's forward has no batch-coupled
+        modules, so it batches in either mode."""
+        frames, masks = self._inputs()
+        with pytest.raises(TrainingModeError, match=cls.__name__):
+            cls(np.random.default_rng(7), base_channels=4).predict_batch(
+                frames, masks
+            )
+        vit = tiny_vit()
+        assert vit.training
+        assert vit.predict_batch(frames, masks).shape == frames.shape
 
 
 class TestMetrics:

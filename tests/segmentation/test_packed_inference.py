@@ -1,8 +1,15 @@
-"""Tests for dropped-token (packed) sparse inference."""
+"""Tests for dropped-token (packed) sparse inference.
+
+The per-frame ``forward_packed`` / ``predict_packed`` bodies live in
+``per_row.py`` as the reference ``predict_packed_batch`` is pinned
+against; these tests keep checking them against the dense masked
+forward.
+"""
 
 import numpy as np
 import pytest
 
+from per_row import forward_packed, predict, predict_packed
 from repro.segmentation import ViTConfig, ViTSegmenter
 
 
@@ -29,7 +36,7 @@ class TestPackedInference:
         frame = rng.random((32, 32))
         mask = roi_mask()
         masked = vit.forward((frame * mask)[None], mask[None])[0]
-        packed, valid = vit.forward_packed(frame * mask, mask)
+        packed, valid = forward_packed(vit, frame * mask, mask)
         patch = vit.config.patch
         grid = 32 // patch
         for t in np.nonzero(valid)[0]:
@@ -43,22 +50,24 @@ class TestPackedInference:
     def test_invalid_patches_predict_background(self, vit):
         frame = np.zeros((32, 32))
         mask = roi_mask(box=(8, 8, 16, 16), rate=1.0)
-        seg = vit.predict_packed(frame, mask)
+        seg = predict_packed(vit, frame, mask)
         # Patches with no samples must decode to the background class.
         assert np.all(seg[24:, 24:] == 0)
 
     def test_empty_mask_is_all_background(self, vit):
-        seg = vit.predict_packed(np.zeros((32, 32)), np.zeros((32, 32), dtype=bool))
+        seg = predict_packed(
+            vit, np.zeros((32, 32)), np.zeros((32, 32), dtype=bool)
+        )
         assert np.all(seg == 0)
 
     def test_predictions_agree_inside_roi(self, vit):
         rng = np.random.default_rng(3)
         frame = rng.random((32, 32))
         mask = roi_mask()
-        full = vit.predict(frame * mask, mask)
-        packed = vit.predict_packed(frame * mask, mask)
+        full = predict(vit, frame * mask, mask)
+        packed = predict_packed(vit, frame * mask, mask)
         # Identical argmax wherever tokens were valid.
-        _, valid = vit.forward_packed(frame * mask, mask)
+        _, valid = forward_packed(vit, frame * mask, mask)
         patch = vit.config.patch
         grid = 32 // patch
         for t in np.nonzero(valid)[0]:
@@ -70,5 +79,5 @@ class TestPackedInference:
 
     def test_valid_count_matches_mask(self, vit):
         mask = roi_mask(box=(0, 0, 8, 8), rate=1.0)  # exactly one patch
-        _, valid = vit.forward_packed(np.ones((32, 32)) * mask, mask)
+        _, valid = forward_packed(vit, np.ones((32, 32)) * mask, mask)
         assert valid.sum() == 1

@@ -1,10 +1,10 @@
 """Edge cases of the generic training loop and the joint-training config.
 
 Satellite coverage of this PR: ``batched()`` degenerate widths,
-``TrainResult.final_loss`` on empty trajectories, the
-``supervise_sampled_only`` gradient masking actually zeroing
-unsampled-pixel gradients, eager :class:`JointTrainConfig` validation,
-and the ROI-aware :class:`JointTrainResult.improved`.
+``TrainResult.final_loss`` on empty trajectories, the cross-entropy
+``mask`` actually zeroing unsampled-pixel gradients, eager
+:class:`JointTrainConfig` validation, and the ROI-aware
+:class:`JointTrainResult.improved`.
 """
 
 import numpy as np
@@ -61,9 +61,9 @@ class TestTrainResultEdges:
 
 class TestSupervisedSampledOnly:
     def test_mask_zeroes_unsampled_pixel_gradients(self):
-        # The loss-level mechanism behind supervise_sampled_only: the
-        # cross-entropy gradient must vanish exactly at masked-out
-        # positions, so nothing flows back from unsampled pixels.
+        # Gradient masking at the loss: the cross-entropy gradient must
+        # vanish exactly at masked-out positions, so nothing flows back
+        # from unsampled pixels.
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((2, 8, 8, 4))
         targets = rng.integers(0, 4, size=(2, 8, 8))
@@ -73,28 +73,6 @@ class TestSupervisedSampledOnly:
         grad = loss.backward()
         assert np.all(grad[~mask] == 0.0)
         assert np.any(grad[mask] != 0.0)
-
-    def test_training_with_mask_converges_on_sampled_pixels(self):
-        rng = np.random.default_rng(1)
-        vit = ViTSegmenter(
-            ViTConfig(height=16, width=16, patch=8, dim=24, heads=3,
-                      depth=1, decoder_depth=1),
-            rng,
-        )
-        samples = [
-            (
-                rng.random((16, 16)),
-                rng.random((16, 16)) < 0.4,
-                rng.integers(0, 4, size=(16, 16)),
-            )
-            for _ in range(4)
-        ]
-        result = train_segmentation(
-            vit, samples, epochs=2, rng=np.random.default_rng(2),
-            supervise_sampled_only=True,
-        )
-        assert len(result.epoch_losses) == 2
-        assert all(np.isfinite(result.epoch_losses))
 
 
 class TestJointTrainConfigValidation:

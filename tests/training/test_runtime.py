@@ -5,7 +5,8 @@
   loop under the runtime's per-sample stream semantics (the PR 1/2
   convention for deliberately redefined RNG streams);
 * the deterministic sub-kernels (vectorized eventification, the batched
-  soft ROI mask) are bitwise batch-invariant;
+  soft ROI mask) are bitwise batch-invariant, row by row against the
+  per-frame eventify and the per-box soft-mask bodies in ``per_row.py``;
 * the data-parallel schedule (``grad_accum=True``) is bitwise-identical
   between in-process accumulation and any sharded worker count.
 """
@@ -13,6 +14,7 @@
 import numpy as np
 import pytest
 
+from per_row import soft_mask_backward, soft_mask_forward
 from repro.engine import Execution, shm_available
 from repro.engine.transport import DISABLE_ENV
 from repro.nn import Adam, CrossEntropyLoss, MSELoss, clip_grad_norm
@@ -116,7 +118,7 @@ def reference_joint_train(roi, vit, cfg, dataset, indices, seed):
                 bern = random_mask_in_box(
                     frame.shape, pixel_box, cfg.roi_sampling_rate, rng
                 )
-                soft = soft_mask.forward(box_pred[0])
+                soft = soft_mask_forward(soft_mask, box_pred[0])
                 eff_mask = bern * soft
                 sparse = frame * eff_mask
 
@@ -126,7 +128,7 @@ def reference_joint_train(roi, vit, cfg, dataset, indices, seed):
                 vit.zero_grad()
                 grad_pix, grad_bit = vit.backward_to_input(grad_logits)
                 grad_soft = (grad_pix[0] * frame + grad_bit[0]) * bern
-                grad_box_seg = soft_mask.backward(grad_soft)
+                grad_box_seg = soft_mask_backward(soft_mask, grad_soft)
 
                 total_grad_box = (
                     grad_box_mse + cfg.seg_to_roi_weight * grad_box_seg[None]
@@ -204,7 +206,9 @@ class TestSubKernelBatchInvariance:
         stacked = soft.forward_batch(boxes)
         for i in range(4):
             scalar = SoftROIMask(SIZE, SIZE, tau=0.05)
-            assert np.array_equal(stacked[i], scalar.forward(boxes[i]))
+            assert np.array_equal(
+                stacked[i], soft_mask_forward(scalar, boxes[i])
+            )
 
     def test_soft_mask_backward_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -215,8 +219,10 @@ class TestSubKernelBatchInvariance:
         stacked = soft.backward_batch(grads)
         for i in range(3):
             scalar = SoftROIMask(SIZE, SIZE, tau=0.05)
-            scalar.forward(boxes[i])
-            assert np.array_equal(stacked[i], scalar.backward(grads[i]))
+            soft_mask_forward(scalar, boxes[i])
+            assert np.array_equal(
+                stacked[i], soft_mask_backward(scalar, grads[i])
+            )
 
 
 class TestBatchedSchedule:

@@ -35,7 +35,7 @@ def tiny_components(size=32):
 class TestSoftROIMask:
     def test_mask_high_inside_low_outside(self):
         soft = SoftROIMask(32, 32, tau=0.02)
-        mask = soft.forward(np.array([0.25, 0.25, 0.75, 0.75]))
+        (mask,) = soft.forward_batch(np.array([[0.25, 0.25, 0.75, 0.75]]))
         assert mask[16, 16] > 0.9
         assert mask[0, 0] < 0.1
 
@@ -43,16 +43,16 @@ class TestSoftROIMask:
         soft = SoftROIMask(16, 16, tau=0.08)
         box = np.array([0.3, 0.2, 0.7, 0.8])
         upstream = np.random.default_rng(2).standard_normal((16, 16))
-        soft.forward(box)
-        analytic = soft.backward(upstream)
+        soft.forward_batch(box[None])
+        (analytic,) = soft.backward_batch(upstream[None])
         eps = 1e-6
         for i in range(4):
             plus, minus = box.copy(), box.copy()
             plus[i] += eps
             minus[i] -= eps
             numeric = (
-                np.sum(soft.forward(plus) * upstream)
-                - np.sum(soft.forward(minus) * upstream)
+                np.sum(soft.forward_batch(plus[None]) * upstream)
+                - np.sum(soft.forward_batch(minus[None]) * upstream)
             ) / (2 * eps)
             assert analytic[i] == pytest.approx(numeric, rel=1e-4, abs=1e-7)
 
@@ -80,17 +80,6 @@ class TestTrainSegmentation:
         )
         assert result.improved
         assert len(result.epoch_losses) == 3
-
-    def test_supervise_sampled_only(self):
-        _, vit = tiny_components()
-        result = train_segmentation(
-            vit,
-            self._samples(),
-            epochs=2,
-            rng=np.random.default_rng(5),
-            supervise_sampled_only=True,
-        )
-        assert len(result.epoch_losses) == 2
 
     def test_rejects_empty_samples(self):
         _, vit = tiny_components()
