@@ -42,7 +42,6 @@ from repro.engine.transport import (
     TransportError,
     resolve_payload,
     shm_available,
-    worker_cached,
 )
 from repro.engine.stages import (
     EventifyPairStage,
@@ -76,7 +75,6 @@ __all__ = [
     "TransportError",
     "ObjectHandle",
     "resolve_payload",
-    "worker_cached",
     "shm_available",
     "EventifyStage",
     "ROIPredictStage",

@@ -20,9 +20,7 @@ module attacks the bytes, not the kernels:
 * **Worker-resident caches.**  Workers map segments read-only (one
   attach per segment per process) and memoize the *resolved object* by
   its content digest, so repeated dispatches of the same payload skip
-  deserialization entirely.  :func:`worker_cached` generalizes the
-  training runtime's historical single-slot dataset cache into a keyed
-  cache any worker-side rebuild path can use.
+  deserialization entirely.
 * **Explicit lifecycle.**  Segments are created by the dispatcher and
   unlinked deterministically: per-run channels unlink on run teardown,
   the persistent channel owned by ``repro.api.Session`` unlinks on
@@ -31,8 +29,7 @@ module attacks the bytes, not the kernels:
   the slot's previous generation — how per-epoch training weights avoid
   accumulating one segment per epoch.
 * **Plain-pickle fallback.**  When shared memory is unavailable (or
-  explicitly disabled via ``REPRO_DISABLE_SHM=1`` /
-  ``TransportChannel(use_shm=False)``) the blob ships inline inside the
+  disabled via ``REPRO_DISABLE_SHM=1``) the blob ships inside the
   handle.  Resolution is bit-for-bit the same unpickle either way, so
   results are bitwise-identical in both modes — the engine, training and
   serve parity suites pin this.
@@ -55,7 +52,7 @@ import pickle
 import secrets
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -72,9 +69,7 @@ __all__ = [
     "ObjectHandle",
     "ArrayRef",
     "resolve_payload",
-    "worker_cached",
     "shm_available",
-    "payload_stats",
     "MIN_SHM_ARRAY_BYTES",
     "SEGMENT_PREFIX",
 ]
@@ -178,9 +173,6 @@ _OWNED: set[str] = set()
 #: dispatches of an identical payload skip deserialization entirely).
 _OBJECTS: "OrderedDict[str, Any]" = OrderedDict()
 _OBJECTS_MAX = 32
-#: The keyed worker cache behind :func:`worker_cached`.
-_KEYED: "OrderedDict[Any, Any]" = OrderedDict()
-_KEYED_MAX = 16
 
 
 def _attach(name: str):
@@ -238,36 +230,6 @@ def resolve_payload(handle: ObjectHandle) -> Any:
     return obj
 
 
-def worker_cached(key: Any, factory: Callable[[], Any]) -> Any:
-    """A worker-resident keyed cache for rebuild-style payloads.
-
-    The generalization of the training runtime's historical single-slot
-    dataset cache: any worker-side path that *re-derives* an expensive
-    object from a small spec (datasets from configs, sensor templates
-    from seeds) caches it here keyed by that spec's hash, so a persistent
-    pool re-derives once per worker instead of once per dispatch.  The
-    factory only runs on a miss; a failing factory caches nothing.
-    """
-    if key in _KEYED:
-        _KEYED.move_to_end(key)
-        return _KEYED[key]
-    value = factory()
-    _KEYED[key] = value
-    while len(_KEYED) > _KEYED_MAX:
-        _KEYED.popitem(last=False)
-    return value
-
-
-def payload_stats() -> dict:
-    """Observability: this process's transport-cache occupancy."""
-    return {
-        "segments_mapped": len(_SEGMENTS),
-        "segments_owned": len(_OWNED),
-        "objects_cached": len(_OBJECTS),
-        "keyed_cached": len(_KEYED),
-    }
-
-
 # -- dispatcher side ----------------------------------------------------------
 class _ExtractingPickler(pickle.Pickler):
     """Pickler that hoists big plain ndarrays into channel segments."""
@@ -294,16 +256,14 @@ class TransportChannel:
     One channel per dispatch scope: the engine runner creates a per-run
     channel for throwaway pools (closed — segments unlinked — on run
     teardown), while ``repro.api.Session`` owns one persistent channel
-    whose segments live until ``Session.close()``.  ``use_shm=None``
-    auto-detects; ``use_shm=False`` forces the inline-pickle fallback
-    (the mode benchmarks time as the "pickle path") with identical
-    semantics and results.
+    whose segments live until ``Session.close()``.  ``use_shm`` records
+    whether :func:`shm_available` held at construction; without it the
+    channel takes the plain-pickle fallback (the mode benchmarks time as
+    the "pickle path") with identical semantics and results.
     """
 
-    def __init__(self, use_shm: bool | None = None):
-        self.use_shm = (
-            shm_available() if use_shm is None else bool(use_shm) and shm_available()
-        )
+    def __init__(self):
+        self.use_shm = shm_available()
         self._closed = False
         #: Array dedup: content fingerprint -> (ArrayRef, refcount).
         self._arrays: dict[str, list] = {}

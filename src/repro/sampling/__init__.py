@@ -6,9 +6,7 @@ uniform pixel sampling, and the full strategy zoo of the Fig. 15 ablation.
 
 from repro.sampling.eventification import DEFAULT_SIGMA, event_density, eventify
 from repro.sampling.random_sampling import (
-    apply_mask,
     effective_compression,
-    random_mask,
     random_mask_in_box,
     uniform_grid_mask,
     uniform_mask_in_box,
@@ -41,11 +39,9 @@ __all__ = [
     "DEFAULT_SIGMA",
     "eventify",
     "event_density",
-    "random_mask",
     "uniform_grid_mask",
     "random_mask_in_box",
     "uniform_mask_in_box",
-    "apply_mask",
     "effective_compression",
     "ROIPredictor",
     "ROIReusePolicy",

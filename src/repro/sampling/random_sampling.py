@@ -12,11 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "random_mask",
     "uniform_grid_mask",
     "random_mask_in_box",
     "uniform_mask_in_box",
-    "apply_mask",
     "effective_compression",
     "effective_compression_batch",
 ]
@@ -25,14 +23,6 @@ __all__ = [
 def _validate_rate(rate: float) -> None:
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"sampling rate must be in (0, 1]: {rate}")
-
-
-def random_mask(
-    shape: tuple[int, int], rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Bernoulli mask over the whole frame at the given expected rate."""
-    _validate_rate(rate)
-    return rng.random(shape) < rate
 
 
 def _grid_strides(rate: float) -> tuple[int, int]:
@@ -87,13 +77,6 @@ def uniform_mask_in_box(
     sub[::stride_r, ::stride_c] = True
     mask[r0:r1, c0:c1] = sub
     return mask
-
-
-def apply_mask(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Zero out unsampled pixels (what the host receives after RLE decode)."""
-    if frame.shape != mask.shape:
-        raise ValueError(f"shape mismatch: {frame.shape} vs {mask.shape}")
-    return frame * mask
 
 
 def effective_compression(mask: np.ndarray) -> float:

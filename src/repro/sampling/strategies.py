@@ -186,9 +186,11 @@ class SkipStrategy(SamplingStrategy):
 
     Emulates EdGaze's event-driven gate [49]: quiet frames transmit nothing
     and the host reuses the previous segmentation; active frames transmit
-    the full frame.  The density threshold is derived from the compression
-    target: to average a compression of C, roughly (1 - 1/C) of frames must
-    be skipped, so the threshold adapts online to the running skip rate.
+    the full frame, and so does every frame until one has been sent —
+    there is no previous segmentation to reuse before that.  The density
+    threshold is derived from the compression target: to average a
+    compression of C, roughly (1 - 1/C) of frames must be skipped, so the
+    threshold adapts online to the running skip rate.
     """
 
     name = "Skip"
@@ -224,7 +226,7 @@ class SkipStrategy(SamplingStrategy):
             threshold = s.density_threshold * (
                 2.0 if sent_rate > target_send_rate else 0.5
             )
-            if count / size < threshold:
+            if s._frames_sent > 0 and count / size < threshold:
                 mask = np.zeros(frame.shape, dtype=bool)
                 decisions.append(
                     SamplingDecision(

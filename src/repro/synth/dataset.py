@@ -116,11 +116,8 @@ class SyntheticEyeDataset:
     def is_materialized(self, index: int) -> bool:
         """Whether sequence ``index`` has already been generated.
 
-        A materialized sequence may have been mutated in place by the
-        caller (tests simulate occlusions that way), so consumers that
-        re-render from ``(config.seed, index)`` instead of shipping the
-        cached object — the sharded training runtime — only do so for
-        indices that are still un-materialized here.
+        Lets a caller tell a render from a cache hit without triggering
+        either; ``perfbench``'s layer probe times only the renders.
         """
         return index in self._cache
 

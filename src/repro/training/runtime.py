@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.engine.executors import Execution, sharding
 from repro.engine.runner import contiguous_shards
-from repro.engine.transport import resolve_payload, worker_cached
+from repro.engine.transport import resolve_payload
 from repro.nn import Adam, CrossEntropyLoss, MSELoss, clip_grad_norm
 from repro.obs.tracer import current_tracer
 from repro.nn.functional import grey_dilation, grey_erosion
@@ -378,54 +378,6 @@ def _sequence_gradients(
     )
 
 
-def _dataset_cache_key(dataset_type, dataset_cfg) -> tuple:
-    """The worker-cache key of one rebuildable dataset.
-
-    Keyed by the config's *content* (a digest of its pickle), not object
-    identity: two runs shipping equal configs share one worker-side
-    dataset, and any config change — however small — misses and
-    rebuilds.
-    """
-    import hashlib
-    import pickle as _pickle
-
-    blob = _pickle.dumps(dataset_cfg, _pickle.HIGHEST_PROTOCOL)
-    return (
-        "train_dataset",
-        dataset_type.__module__,
-        dataset_type.__qualname__,
-        hashlib.blake2b(blob, digest_size=16).hexdigest(),
-    )
-
-
-def _resolve_shard(shard_spec) -> list[tuple[int, object]]:
-    """Materialize one shard's ``(seq_index, sequence)`` pairs in-worker.
-
-    ``("rebuild", type, config, indices)`` re-renders the sequences from
-    the dataset config — sequence ``i`` is a pure function of
-    ``(config.seed, i)`` (the dataset's documented contract), so only
-    the *indices* ship per epoch, not the frame data; the built dataset
-    is cached across epochs (and runs) in the transport layer's keyed
-    worker cache (:func:`repro.engine.transport.worker_cached` — the
-    generalization of this module's historical single-slot cache), so a
-    persistent pool serving interleaved configs keeps each one warm.
-    ``("inline", pairs)`` is the fallback for datasets that cannot be
-    rebuilt worker-side (no reconstructing ``config``, or sequences the
-    parent already materialized and may have mutated).  Inline payloads
-    re-ship each epoch: a process pool gives no worker affinity, so a
-    once-only transfer could land on a worker that never cached it —
-    rebuild mode is the fast path, inline the correctness fallback.
-    """
-    if shard_spec[0] == "inline":
-        return shard_spec[1]
-    _, dataset_type, dataset_cfg, indices = shard_spec
-    dataset = worker_cached(
-        _dataset_cache_key(dataset_type, dataset_cfg),
-        lambda: dataset_type(dataset_cfg),
-    )
-    return [(i, dataset[i]) for i in indices]
-
-
 def _epoch_shard_job(
     models_handle, shard_handle, epoch: int
 ) -> list[_SequenceGrads]:
@@ -434,16 +386,15 @@ def _epoch_shard_job(
     Module-level so the pool can pickle it.  ``models_handle`` carries
     ``(roi_predictor, segmenter, config, seed)`` published per epoch into
     a slot (so epoch ``e``'s weights replace epoch ``e-1``'s segments);
-    ``shard_handle`` carries the run-constant shard *spec*, published
-    once and digest-cached worker-side, so steady-state epochs resolve
-    it without touching the bytes again — sequence data is rebuilt
-    worker-side from the dataset config (see :func:`_resolve_shard`).
-    Weight arrays arrive as read-only views over the mapped segments;
-    ``Parameter.__setstate__`` recreates writable gradient buffers, and
-    workers never write ``.data`` — they only accumulate gradients — so
-    read-only weights are exactly as safe as pickled copies.  The loss
-    and soft-mask kernels come from :func:`_joint_kernels`, the builder
-    the in-process run uses too.
+    ``shard_handle`` carries the shard's ``(seq_index, sequence)`` pairs,
+    published once per run and digest-cached worker-side, so
+    steady-state epochs resolve it without touching the bytes again.
+    Weight and frame arrays arrive as read-only views over the mapped
+    segments; ``Parameter.__setstate__`` recreates writable gradient
+    buffers, and workers never write ``.data`` or frames — they only
+    accumulate gradients — so read-only views are exactly as safe as
+    pickled copies.  The loss and soft-mask kernels come from
+    :func:`_joint_kernels`, the builder the in-process run uses too.
     """
     roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
     seg_loss, roi_loss, soft_mask = _joint_kernels(config, segmenter)
@@ -460,7 +411,7 @@ def _epoch_shard_job(
             roi_loss,
             soft_mask,
         )
-        for seq_index, seq in _resolve_shard(resolve_payload(shard_handle))
+        for seq_index, seq in resolve_payload(shard_handle)
     ]
 
 
@@ -599,18 +550,17 @@ class TrainRunner:
         seg_params = self.segmenter.parameters()
         # One backend + channel for the whole run (not per epoch).
         with sharding(execution, len(indices)) as live:
-            # The run-constant shard specs ship once, into slots a later
-            # training run on the same channel will recycle; sharded
-            # rebuild mode never renders the training sequences in the
-            # parent at all.
+            # Each shard's sequences ship once per run, as the parent
+            # holds them, into slots a later training run on the same
+            # channel will recycle.
             shard_handles = None
             if live.backend is not None:
                 shard_handles = [
                     live.channel.publish(
-                        self._shard_spec(dataset, shard),
-                        slot=("train_shard", i),
+                        [(i, dataset[i]) for i in shard],
+                        slot=("train_shard", n),
                     )
-                    for i, shard in enumerate(
+                    for n, shard in enumerate(
                         contiguous_shards(indices, live.workers)
                     )
                 ]
@@ -626,36 +576,6 @@ class TrainRunner:
                         kernels, roi_params, seg_params, result,
                     )
         return result
-
-    @staticmethod
-    def _shard_spec(dataset, shard_indices: list[int]):
-        """What one worker needs to materialize its shard.
-
-        With a config-reconstructible dataset only the *indices* ship
-        each epoch — sequences re-render worker-side from
-        ``(config.seed, index)``, the dataset's determinism contract
-        (the same idiom the strategy-sweep fan-out uses).  The
-        reconstruction is probed here (dataset constructors are lazy, so
-        the probe renders nothing), and rebuild mode is only used when
-        the parent has not yet materialized any of the shard's sequences
-        — a caller-side mutation requires a materialized sequence, so
-        re-rendering can never silently diverge from what the in-process
-        path would train on.  Everything else ships the frame data
-        inline.
-        """
-        config = getattr(dataset, "config", None)
-        materialized = getattr(dataset, "is_materialized", None)
-        pristine = materialized is not None and not any(
-            materialized(i) for i in shard_indices
-        )
-        if config is not None and pristine:
-            try:
-                type(dataset)(config)
-            except Exception:
-                pass
-            else:
-                return ("rebuild", type(dataset), config, shard_indices)
-        return ("inline", [(i, dataset[i]) for i in shard_indices])
 
     def _accumulate_epoch(
         self,

@@ -382,14 +382,16 @@ class TestREP105SharedMutation:
             "REP105",
         )
 
-    def test_worker_cached_mutating_method_fires(self):
+    def test_mutating_method_fires(self):
+        # The resolved object is memoized per process: an in-place
+        # method call poisons every later dispatch of the same payload.
         assert findings_for(
             """
-            from repro.engine.transport import worker_cached
+            from repro.engine.transport import resolve_payload
 
-            def job(key, factory):
-                dataset = worker_cached(key, factory)
-                dataset.append("poisoned")
+            def job(handle):
+                shard = resolve_payload(handle)
+                shard.append("poisoned")
             """,
             "REP105",
         )

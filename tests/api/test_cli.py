@@ -1,11 +1,33 @@
 """CLI over the declarative API: specs in, uniform JSON out, exit codes."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec
+from repro.api import ExperimentSpec, Session
+from repro.api.registry import STRATEGIES
 from repro.cli import build_parser, main
+from repro.sampling import SamplingDecision, SamplingStrategy
+
+SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
+
+
+class Mute(SamplingStrategy):
+    """Asks to reuse every frame: it never transmits a training frame."""
+
+    name = "Mute"
+    stochastic = False
+
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes):
+        return [
+            SamplingDecision(
+                np.zeros(f.shape, dtype=bool), np.zeros_like(f), None,
+                reuse_previous=True,
+            )
+            for f in frames
+        ]
 
 
 class TestSpecBuilders:
@@ -87,7 +109,7 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "spec error" in capsys.readouterr().err
 
-    def test_invalid_spec_exits_2(self, capsys, tmp_path):
+    def test_invalid_spec_exits_2(self, capsys, tmp_path, monkeypatch):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text('{"workload": "bogus"}')
         assert main(["run", str(spec_path)]) == 2
@@ -105,15 +127,21 @@ class TestRunCommand:
         )
         assert main(["run", str(spec_path)]) == 2
         assert "training.train_indices" in capsys.readouterr().err
-        # A strategy that transmits no training frame (SKIP at 1x on
-        # 1 x 3 frames) only shows up mid-sweep: still exit 2, naming
-        # the split and the strategy, in-process and fanned out.
+        # A strategy that transmits no training frame (a registered one
+        # that always reuses) only shows up mid-sweep: still exit 2,
+        # naming the split and the strategy, in-process and fanned out.
+        monkeypatch.setitem(
+            STRATEGIES._entries, "Mute", lambda c, dataset=None: Mute(c)
+        )
         spec_path.write_text(
             json.dumps(
                 {
                     "workload": "strategy_sweep",
                     "dataset": {"num_sequences": 2, "frames_per_sequence": 3},
-                    "strategy": {"compression": 1.0, "train_epochs": 1},
+                    "strategy": {
+                        "names": ["Mute", "Full+DS"],
+                        "train_epochs": 1,
+                    },
                     "training": {"train_indices": [0]},
                     "execution": {"eval_indices": [1], "backend": "in_process"},
                 }
@@ -123,7 +151,35 @@ class TestRunCommand:
             assert main(["run", str(spec_path), *overrides]) == 2
             err = capsys.readouterr().err
             assert "training.train_indices" in err
-            assert "'Skip'" in err
+            assert "'Mute'" in err
+
+    def test_skip_sends_each_sequence_first_frame(self, capsys):
+        # Skip has nothing to reuse before its first send.  It used to
+        # reuse a quiet first frame anyway, so the shipped sweep with
+        # all 7 strategies exited 2 (Skip sent no training frame), and a
+        # Skip-only sweep segmented a blank frame at "1e6x".
+        all_seven = ExperimentSpec.from_file(
+            SPECS / "strategy_sweep.json"
+        ).to_dict()
+        all_seven["strategy"]["names"] = STRATEGIES.names()
+        all_seven["execution"]["backend"] = "in_process"
+        skip_only = {
+            "workload": "strategy_sweep",
+            "dataset": {
+                "num_sequences": 5,
+                "frames_per_sequence": 16,
+                "dynamics": "lively",
+                "eye_scale": 0.6,
+            },
+            "strategy": {"names": ["Skip"]},
+            "training": {"train_indices": [0, 1, 2, 3]},
+            "execution": {"eval_indices": [4], "backend": "in_process"},
+        }
+        with Session() as session:
+            for spec in (all_seven, skip_only):
+                metrics = session.run(ExperimentSpec.from_dict(spec)).metrics
+                skip = metrics["strategies"]["Skip"]
+                assert skip["mean_compression"] == 1.0
 
     def test_unknown_field_exits_2_with_field_name(self, capsys, tmp_path):
         spec_path = tmp_path / "bad.json"
@@ -132,15 +188,7 @@ class TestRunCommand:
         assert "execution.workerz" in capsys.readouterr().err
 
     def test_shipped_quickstart_spec_is_valid(self):
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parents[2]
-            / "examples"
-            / "specs"
-            / "quickstart.json"
-        )
-        spec = ExperimentSpec.from_file(path)
+        spec = ExperimentSpec.from_file(SPECS / "quickstart.json")
         assert spec.workload == "evaluate"
 
 

@@ -14,8 +14,10 @@ oracle every bitwise pin compares against:
   :func:`forward_packed` / :func:`predict_packed` (the ViT's
   dropped-token inference), :func:`sample` with the seven strategies'
   per-frame bodies (:data:`SAMPLE_BODIES`, plus the scalar ROI+Learned
-  blur :func:`default_score`), and :func:`soft_mask_forward` /
-  :func:`soft_mask_backward` (one ``SoftROIMask`` box).
+  blur :func:`default_score` and the full-frame mask helpers
+  :func:`random_mask` / :func:`apply_mask`), and
+  :func:`soft_mask_forward` / :func:`soft_mask_backward` (one
+  ``SoftROIMask`` box).
 
 :func:`per_row_graph` wraps each stage of a production graph in a
 :class:`PerRowStage` whose ``process_batch`` runs the old scalar body
@@ -66,6 +68,7 @@ from repro.gaze.estimation import FittedGazeEstimator
 from repro.nn import functional as F
 from repro.sampling import random_sampling as rs
 from repro.sampling.eventification import event_density, eventify
+from repro.sampling.random_sampling import _validate_rate
 from repro.sampling.roi import ROIReusePolicy, box_to_pixels, order_box
 from repro.sampling.strategies import (
     FullDownsample,
@@ -94,6 +97,8 @@ __all__ = [
     "predict_packed",
     "sample",
     "default_score",
+    "random_mask",
+    "apply_mask",
     "soft_mask_forward",
     "soft_mask_backward",
 ]
@@ -184,14 +189,30 @@ def predict_packed(self, frame, mask):
 # -- sampling strategies -----------------------------------------------------
 
 
+def random_mask(
+    shape: tuple[int, int], rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Bernoulli mask over the whole frame at the given expected rate."""
+    _validate_rate(rate)
+    return rng.random(shape) < rate
+
+
+def apply_mask(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Zero out unsampled pixels (what the host receives after RLE decode)."""
+    if frame.shape != mask.shape:
+        raise ValueError(f"shape mismatch: {frame.shape} vs {mask.shape}")
+    return frame * mask
+
+
+
 def _full_random(self, frame, event_map, roi_box, rng):
-    mask = rs.random_mask(frame.shape, 1.0 / self.compression, rng)
-    return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
+    mask = random_mask(frame.shape, 1.0 / self.compression, rng)
+    return SamplingDecision(mask, apply_mask(frame, mask), None)
 
 
 def _full_downsample(self, frame, event_map, roi_box, rng):
     mask = rs.uniform_grid_mask(frame.shape, 1.0 / self.compression)
-    return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
+    return SamplingDecision(mask, apply_mask(frame, mask), None)
 
 
 def _skip(self, frame, event_map, roi_box, rng):
@@ -202,7 +223,7 @@ def _skip(self, frame, event_map, roi_box, rng):
     threshold = self.density_threshold * (
         2.0 if sent_rate > target_send_rate else 0.5
     )
-    if event_density(event_map) < threshold:
+    if self._frames_sent > 0 and event_density(event_map) < threshold:
         mask = np.zeros(frame.shape, dtype=bool)
         return SamplingDecision(
             mask, np.zeros_like(frame), None, reuse_previous=True
@@ -216,12 +237,12 @@ def _roi_downsample(self, frame, event_map, roi_box, rng):
     box = roi_box or self._full_frame_box(frame)
     rate = _in_roi_rate(frame.shape, box, self.compression)
     mask = rs.uniform_mask_in_box(frame.shape, box, rate)
-    return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
+    return SamplingDecision(mask, apply_mask(frame, mask), box)
 
 
 def _roi_fixed(self, frame, event_map, roi_box, rng):
     mask = self._fixed_mask(frame.shape, frame.size)
-    return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
+    return SamplingDecision(mask, apply_mask(frame, mask), None)
 
 
 def default_score(frame, event_map):
@@ -242,14 +263,14 @@ def _roi_learned(self, frame, event_map, roi_box, rng):
     box = roi_box or self._full_frame_box(frame)
     scores = default_score(frame, event_map)
     mask = self._select(scores, box, frame, rng)
-    return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
+    return SamplingDecision(mask, apply_mask(frame, mask), box)
 
 
 def _roi_random(self, frame, event_map, roi_box, rng):
     box = roi_box or self._full_frame_box(frame)
     rate = _in_roi_rate(frame.shape, box, self.compression)
     mask = rs.random_mask_in_box(frame.shape, box, rate, rng)
-    return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
+    return SamplingDecision(mask, apply_mask(frame, mask), box)
 
 
 #: Strategy class -> its frozen per-frame ``sample`` body.

@@ -128,7 +128,7 @@ class TestExecution:
             # Silently ignoring an injected backend or channel (and
             # running in-process) would defeat the caller's intent.
             {"workers": 1, "backend": InProcessExecutor(2)},
-            {"workers": 1, "channel": TransportChannel(use_shm=False)},
+            {"workers": 1, "channel": TransportChannel()},
         ],
         ids=["workers-0", "workers-neg", "batch_size-0", "backend", "channel"],
     )

@@ -35,7 +35,6 @@ from repro.engine.transport import (
     MIN_SHM_ARRAY_BYTES,
     SEGMENT_PREFIX,
     resolve_payload,
-    worker_cached,
 )
 
 needs_shm = pytest.mark.skipif(
@@ -97,8 +96,9 @@ class TestRoundTrip:
                 # repro: allow[REP105] deliberately asserts the write raises
                 resolved["big"][0] = -1.0
 
-    def test_pickle_fallback_round_trip_is_exact(self):
-        with TransportChannel(use_shm=False) as channel:
+    def test_pickle_fallback_round_trip_is_exact(self, monkeypatch):
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        with TransportChannel() as channel:
             assert not channel.use_shm
             handle = channel.publish(self.payload())
             assert handle.segment is None and handle.blob is not None
@@ -174,18 +174,6 @@ class TestLifecycle:
         channel.close()
         with pytest.raises(TransportError):
             channel.publish({"x": 1})
-
-    def test_worker_cached_builds_once_per_key(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return "built"
-
-        key = ("test_worker_cached", id(calls))
-        assert worker_cached(key, factory) == "built"
-        assert worker_cached(key, factory) == "built"
-        assert len(calls) == 1
 
 
 class TestEngineIntegration:

@@ -14,9 +14,7 @@ from repro.sampling import (
     ROILearned,
     ROIRandom,
     SkipStrategy,
-    apply_mask,
     effective_compression,
-    random_mask,
     random_mask_in_box,
     uniform_grid_mask,
     uniform_mask_in_box,
@@ -28,7 +26,7 @@ SHAPE = (48, 48)
 
 class TestMasks:
     def test_random_mask_rate(self):
-        mask = random_mask((200, 200), 0.2, np.random.default_rng(1))
+        mask = per_row.random_mask((200, 200), 0.2, np.random.default_rng(1))
         assert abs(mask.mean() - 0.2) < 0.02
 
     def test_uniform_grid_rate(self):
@@ -55,7 +53,7 @@ class TestMasks:
         frame = np.ones(SHAPE)
         mask = np.zeros(SHAPE, dtype=bool)
         mask[0, 0] = True
-        sparse = apply_mask(frame, mask)
+        sparse = per_row.apply_mask(frame, mask)
         assert sparse.sum() == 1.0
 
     def test_effective_compression(self):
@@ -69,7 +67,7 @@ class TestMasks:
     @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
     def test_invalid_rates_raise(self, rate):
         with pytest.raises(ValueError):
-            random_mask(SHAPE, rate, RNG)
+            per_row.random_mask(SHAPE, rate, RNG)
 
 
 def _fixture_frame():
@@ -120,11 +118,23 @@ class TestStrategies:
 
     def test_skip_reuses_on_quiet_frames(self):
         frame, _, box = _fixture_frame()
+        busy = np.ones(SHAPE, dtype=bool)
         quiet = np.zeros(SHAPE, dtype=bool)
         strategy = SkipStrategy(compression=4.0)
-        decision = sample_one(strategy, frame, quiet, box)
+        row = strategy.spawn(0)
+        sample_one(strategy, frame, busy, box, row=row)
+        decision = sample_one(strategy, frame, quiet, box, row=row)
         assert decision.reuse_previous
         assert decision.transmitted_pixels == 0
+
+    def test_skip_sends_a_quiet_first_frame(self):
+        # Nothing has been segmented yet, so there is nothing to reuse:
+        # a sequence's first frame transmits whatever its density.
+        frame, _, box = _fixture_frame()
+        quiet = np.zeros(SHAPE, dtype=bool)
+        decision = sample_one(SkipStrategy(compression=4.0), frame, quiet, box)
+        assert not decision.reuse_previous
+        assert decision.transmitted_pixels == frame.size
 
     def test_skip_sends_on_active_frames(self):
         frame, _, box = _fixture_frame()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from per_row import soft_mask_backward, soft_mask_forward
-from repro.engine import Execution, shm_available
+from repro.engine import Execution, TransportChannel, shm_available
 from repro.engine.transport import DISABLE_ENV
 from repro.nn import Adam, CrossEntropyLoss, MSELoss, clip_grad_norm
 from repro.nn.functional import grey_dilation, grey_erosion
@@ -281,8 +281,9 @@ class TestShardedTraining:
     def test_pickle_fallback_bitwise_identical_to_in_process(
         self, monkeypatch
     ):
-        # With shared memory disabled every shard payload ships inline
-        # as pickle: the sharded run must still match in-process bits.
+        # With shared memory disabled every shard payload ships inside
+        # its handle as pickle: the sharded run must still match
+        # in-process bits.
         roi_a, vit_a, res_a = self._train(workers=1)
         monkeypatch.setenv(DISABLE_ENV, "1")
         assert not shm_available()
@@ -328,8 +329,8 @@ class TestShardedTraining:
             )
 
     def test_config_less_dataset_ships_inline_and_stays_bitwise(self):
-        # Duck-typed datasets without a reconstructing `config` fall back
-        # to shipping the frame data to workers — same bits either way.
+        # A duck-typed dataset (no `config`, no cache) ships its
+        # sequences through the channel like any other — same bits.
         class Wrapped:
             def __init__(self, inner):
                 self._inner = inner
@@ -351,9 +352,8 @@ class TestShardedTraining:
 
     def test_mutated_sequences_are_honored_when_sharded(self):
         # A materialized-then-mutated sequence must reach the workers
-        # as-is (inline shipping), not be silently re-rendered pristine
-        # from the config — sharded and in-process runs must train on
-        # the same data.
+        # as-is, never re-rendered pristine from the config — sharded
+        # and in-process runs must train on the same data.
         def train(workers):
             ds = tiny_dataset(num_sequences=3, frames=4)
             for t in range(len(ds[1])):
@@ -370,6 +370,41 @@ class TestShardedTraining:
         roi_b, res_b = train(2)
         assert res_a.roi_losses == res_b.roi_losses
         assert_states_equal(roi_a, roi_b)
+
+    def _train_on(self, channel, seed):
+        dataset = SyntheticEyeDataset(
+            DatasetConfig(
+                height=SIZE, width=SIZE, frames_per_sequence=4,
+                num_sequences=3, seed=seed,
+            )
+        )
+        roi, vit = tiny_components()
+        cfg = JointTrainConfig(epochs=3, batch_size=2, grad_accum=True)
+        TrainRunner(roi, vit, cfg, np.random.default_rng(SEED_RNG)).run(
+            dataset, [0, 1, 2],
+            execution=Execution(workers=2, channel=channel),
+        )
+
+    def test_shards_publish_once_per_run(self):
+        # Each shard's sequences cross once per run; only the weights
+        # re-publish, once per epoch: 2 shards + 3 epochs.
+        with TransportChannel() as channel:
+            self._train_on(channel, seed=0)
+            assert channel.stats["objects_published"] == 2 + 3
+
+    @pytest.mark.skipif(
+        not shm_available(), reason="shared memory unavailable"
+    )
+    def test_rerun_on_channel_releases_previous_shards(self):
+        # The ("train_shard", n) slots recycle: a second run on another
+        # dataset frees the first run's segments instead of stacking.
+        with TransportChannel() as channel:
+            self._train_on(channel, seed=0)
+            first = set(channel.segment_names())
+            self._train_on(channel, seed=1)
+            second = set(channel.segment_names())
+            assert first and len(second) <= len(first)
+            assert first.isdisjoint(second)
 
     def test_executor_without_workers_rejected(self):
         roi, vit = tiny_components()
